@@ -1,4 +1,4 @@
-//! **Exp-13: the 100M-row scale path — streaming ingest, bit-packed
+//! **Exp-13: the 100M-row scale path — single-pass ingest, bit-packed
 //! columns, sharded level-1 build.**
 //!
 //! Generates a synthetic warehouse-shaped CSV (a sequence key, two
@@ -6,20 +6,22 @@
 //! and a low-cardinality string — ~73 packed bits/row against the 192 bits
 //! of six `Vec<u32>` columns), then measures:
 //!
-//! * streaming two-pass ingest (`read_csv_file_stream`) throughput and the
-//!   ingest's peak resident bytes (`relation.peak_bytes` gauge);
+//! * single-pass ingest (`parse_csv` + `ParsedCsv::encode`, then
+//!   `EncodedRelation::pack` — the `fastod --stream` path) throughput and
+//!   the ingest's estimated peak bytes (`relation.peak_bytes` gauge);
 //! * encoded-relation memory: bit-packed vs the `4 · rows · attrs` a
 //!   `Vec<u32>` representation costs (the acceptance bar is ≥ 2x);
 //! * level-1 partition build: sequential `build_level1` vs the row-sharded
 //!   `build_level1_parallel` at each `FASTOD_THREADS` count, with the CSR
 //!   buffers asserted **byte-identical** at every thread count.
 //!
-//! At smoke/default scale the one-shot reader also runs and the streamed
-//! codes, cardinalities, and (level-capped) discovery cover are asserted
-//! identical — this is the `scale-smoke` CI job's body. At paper scale
-//! (10M rows; `FASTOD_SCALE_ROWS` overrides, e.g. 100M) the one-shot
-//! comparison is skipped: materializing the whole file's values is exactly
-//! the wall this path removes.
+//! At smoke/default scale the file is also read as a decoded `Relation`
+//! and re-encoded with `Relation::encode`; its codes, cardinalities and
+//! (level-capped) discovery cover are asserted identical to the packed
+//! ones — this is the `scale-smoke` CI job's body. At paper scale (10M
+//! rows; `FASTOD_SCALE_ROWS` overrides, e.g. 100M) that comparison is
+//! skipped: materializing the whole file's values is exactly the wall this
+//! path removes.
 //!
 //! Gate rows for the weekly perf job (`results/exp13_scale.json`):
 //! `scale_stream_ingest_ms`, `scale_level1_seq_ms`, `scale_level1_t4_ms`.
@@ -27,16 +29,16 @@
 use fastod::snapshot::{build_level1, build_level1_parallel};
 use fastod::{CancelToken, DiscoveryConfig, Executor, Fastod};
 use fastod_bench::{obs_from_env, table::Table, thread_sweep_from_env, write_csv, Scale};
-use fastod_relation::csv::{read_csv_file_opts, CsvOptions};
-use fastod_relation::{read_csv_file_stream, EncodedRelation};
+use fastod_relation::csv::{parse_csv, read_csv_file_opts, CsvOptions};
+use fastod_relation::EncodedRelation;
 use std::io::{BufWriter, Write as _};
 use std::time::Instant;
 
 const N_ATTRS: usize = 6;
 /// Smoke-scale ceiling for the ingest's peak resident bytes (1M rows): the
-/// distinct sets + dictionaries + packed columns of the synthetic table fit
-/// well under this, and a regression that starts materializing O(rows)
-/// state blows straight through it.
+/// provisional ids and dictionaries of the synthetic table fit well under
+/// this, and a regression that starts materializing O(rows) values blows
+/// straight through it.
 const SMOKE_PEAK_CEILING: usize = 256 << 20;
 
 /// Writes the synthetic table as CSV. Deterministic in `rows`.
@@ -62,8 +64,9 @@ fn ms(from: Instant) -> f64 {
     from.elapsed().as_secs_f64() * 1e3
 }
 
-/// Asserts streamed and one-shot encodings agree, comparing packed columns
-/// chunk-wise so the check itself never materializes an unpacked copy.
+/// Asserts the packed and re-encoded encodings agree, comparing packed
+/// columns chunk-wise so the check itself never materializes an unpacked
+/// copy.
 fn assert_same_encoding(streamed: &EncodedRelation, oneshot: &EncodedRelation) {
     assert_eq!(streamed.n_rows(), oneshot.n_rows());
     assert_eq!(streamed.n_attrs(), oneshot.n_attrs());
@@ -96,56 +99,57 @@ fn main() {
     let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     println!("generated {} ({:.1} MB) in {:.0} ms", path.display(), file_bytes as f64 / 1e6, ms(t));
 
-    // --- Streaming two-pass ingest into bit-packed columns. ---
+    // --- Single-pass ingest, then bit-packing (the `--stream` path). ---
     let t = Instant::now();
-    let streamed =
-        read_csv_file_stream(&path, CsvOptions::with_header(), 1 << 16).expect("streamed ingest");
+    let file = std::fs::File::open(&path).expect("opening the synthetic CSV");
+    let parsed = parse_csv(file, CsvOptions::with_header()).expect("ingest");
+    let peak_bytes = parsed.memory_bytes();
+    let mut enc = parsed.encode().into_encoded();
+    enc.pack();
     let stream_ms = ms(t);
-    let enc = streamed.encoded;
     let packed_bytes = enc.memory_bytes();
     // What the same encoding costs as `Vec<u32>` columns — exact, since a
     // plain code column is 4 bytes/row by construction.
     let plain_bytes = rows * N_ATTRS * 4;
     let mem_ratio = plain_bytes as f64 / packed_bytes as f64;
-    obs.set_gauge("relation.peak_bytes", streamed.peak_bytes as f64);
+    obs.set_gauge("relation.peak_bytes", peak_bytes as f64);
     println!(
-        "streamed ingest: {:.0} ms ({:.2} M rows/s); packed {:.1} MB vs plain {:.1} MB ({:.2}x), \
+        "single-pass ingest + pack: {:.0} ms ({:.2} M rows/s); packed {:.1} MB vs plain {:.1} MB ({:.2}x), \
          ingest peak {:.1} MB",
         stream_ms,
         rows as f64 / stream_ms / 1e3,
         packed_bytes as f64 / 1e6,
         plain_bytes as f64 / 1e6,
         mem_ratio,
-        streamed.peak_bytes as f64 / 1e6,
+        peak_bytes as f64 / 1e6,
     );
     assert!(
         mem_ratio >= 2.0,
         "packed encoding must be ≥2x smaller than Vec<u32> ({mem_ratio:.2}x)"
     );
 
-    // --- One-shot comparison (skipped at paper scale: materializing every
-    // value of a 10M+-row file is the wall this path removes). ---
+    // --- Decode-and-re-encode comparison (skipped at paper scale:
+    // materializing every value of a 10M+-row file is the wall this path
+    // removes). ---
     let mut oneshot_ms = None;
     if scale != Scale::Paper {
         let t = Instant::now();
         let rel = read_csv_file_opts(&path, CsvOptions::with_header()).expect("one-shot read");
         let one = rel.encode();
         oneshot_ms = Some(ms(t));
-        println!("one-shot ingest: {:.0} ms", oneshot_ms.unwrap());
+        println!("decoded read + Relation::encode: {:.0} ms", oneshot_ms.unwrap());
         assert_same_encoding(&enc, &one);
         let cover = |e: &EncodedRelation| {
             let cfg = DiscoveryConfig::default().with_threads(4).with_max_level(2);
             Fastod::new(cfg).try_discover(e).expect("discovery").ods.sorted()
         };
-        assert_eq!(cover(&enc), cover(&one), "streamed vs one-shot covers diverged");
-        println!("streamed codes, cardinalities and level-2 cover identical to one-shot ✓");
+        assert_eq!(cover(&enc), cover(&one), "packed vs re-encoded covers diverged");
+        println!("packed codes, cardinalities and level-2 cover identical to the re-encoded ✓");
     }
     if scale == Scale::Smoke {
         assert!(
-            streamed.peak_bytes < SMOKE_PEAK_CEILING,
-            "ingest peak {} exceeds the {} ceiling",
-            streamed.peak_bytes,
-            SMOKE_PEAK_CEILING,
+            peak_bytes < SMOKE_PEAK_CEILING,
+            "ingest peak {peak_bytes} exceeds the {SMOKE_PEAK_CEILING} ceiling",
         );
     }
 

@@ -372,6 +372,19 @@ impl SpanGuard {
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
     }
+
+    /// Sets an integer field after the span opened (overwriting one of the
+    /// same name), for quantities known only once the measured work is
+    /// done — e.g. the rows a reader found.
+    pub fn record(&mut self, name: &'static str, value: u64) {
+        let Some(span) = &mut self.0 else {
+            return;
+        };
+        match span.fields.iter_mut().find(|(n, _)| *n == name) {
+            Some(field) => field.1 = value,
+            None => span.fields.push((name, value)),
+        }
+    }
 }
 
 impl Drop for SpanGuard {
@@ -499,7 +512,9 @@ mod tests {
         {
             let _root = obs.span_with("discover", &[]);
             let _level = obs.span_with("level", &[("level", 1)]);
-            let _leaf = obs.span("validate_level");
+            let mut leaf = obs.span("validate_level");
+            leaf.record("rows", 7);
+            leaf.record("rows", 8);
         }
         obs.flush();
         let events = parse_trace(&std::fs::read_to_string(&path).unwrap());
@@ -512,6 +527,7 @@ mod tests {
         assert_eq!(level.parent, Some(root.id));
         assert_eq!(level.field("level"), Some(1));
         assert_eq!(leaf.parent, Some(level.id));
+        assert_eq!(leaf.field("rows"), Some(8));
         assert!(root.dur_ns >= level.dur_ns);
     }
 

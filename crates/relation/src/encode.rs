@@ -94,26 +94,26 @@ impl EncodedRelation {
         }
     }
 
-    /// Builds an encoded relation from bit-packed columns (the streaming
-    /// CSV reader's output). Cardinalities are supplied by the caller — the
-    /// dictionary build already knows them, and unpacking every column just
-    /// to recompute a max would defeat the packing.
-    pub(crate) fn from_packed(
+    /// Builds an encoded relation from dense-rank columns whose
+    /// cardinalities the caller already knows (the CSV reader's output):
+    /// no pass over the codes to recompute a max.
+    pub(crate) fn from_ranks(
         schema: Schema,
-        columns: Vec<PackedCodes>,
+        codes: Vec<Vec<u32>>,
         cardinalities: Vec<u32>,
     ) -> EncodedRelation {
-        assert_eq!(schema.n_attrs(), columns.len());
-        assert_eq!(columns.len(), cardinalities.len());
-        let n_rows = columns.first().map_or(0, PackedCodes::len);
-        for col in &columns {
+        assert_eq!(schema.n_attrs(), codes.len());
+        assert_eq!(codes.len(), cardinalities.len());
+        let n_rows = codes.first().map_or(0, Vec::len);
+        for (col, &card) in codes.iter().zip(&cardinalities) {
             assert_eq!(col.len(), n_rows, "ragged code columns");
+            debug_assert!(col.iter().all(|&c| c < card));
         }
         EncodedRelation {
             schema,
-            codes: columns
+            codes: codes
                 .into_iter()
-                .map(|c| CodeColumn::Packed(Arc::new(c)))
+                .map(|c| CodeColumn::Plain(Arc::new(c)))
                 .collect(),
             cardinalities,
             n_rows,
@@ -205,8 +205,7 @@ impl EncodedRelation {
 
     /// Resident heap bytes of the code columns (packed columns report their
     /// packed words plus any materialized unpack cache, not the logical
-    /// `4 · n_rows` size). This is the quantity behind the
-    /// `relation.peak_bytes` gauge.
+    /// `4 · n_rows` size).
     pub fn memory_bytes(&self) -> usize {
         self.codes
             .iter()

@@ -59,10 +59,19 @@ pub enum RelationError {
     },
     /// CSV parsing failed.
     Csv {
-        /// 1-based source line of the malformed record.
+        /// 1-based source line of the malformed field.
         line: usize,
+        /// 1-based field index within its record (for a ragged record,
+        /// the first field past the shorter of the two widths).
+        field: usize,
         /// Parser diagnostic.
         message: String,
+    },
+    /// An armed `fastod-faultkit` failpoint fired at `site` (test-only
+    /// fault injection; never raised in production).
+    Injected {
+        /// The failpoint that fired.
+        site: &'static str,
     },
     /// Underlying I/O failure.
     Io(std::io::Error),
@@ -99,9 +108,10 @@ impl fmt::Display for RelationError {
                 "column {column} contains nulls but no null ordering policy is set; \
                  configure NullPolicy::First or NullPolicy::Last"
             ),
-            RelationError::Csv { line, message } => {
-                write!(f, "CSV parse error at line {line}: {message}")
+            RelationError::Csv { line, field, message } => {
+                write!(f, "CSV parse error at line {line}, field {field}: {message}")
             }
+            RelationError::Injected { site } => write!(f, "fault injected at {site}"),
             RelationError::Io(e) => write!(f, "I/O error: {e}"),
         }
     }

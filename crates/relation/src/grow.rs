@@ -374,19 +374,19 @@ impl GrowableRelation {
     /// [`RelationError::SchemaMismatch`] when the batch schema differs or
     /// carries a conflicting [`NullPolicy`];
     /// [`RelationError::NullPolicyRequired`] when the batch brings nulls but
-    /// the engine has no policy. `self` is left unchanged in either case.
+    /// the engine has no policy; [`RelationError::Injected`] when an armed
+    /// `relation.extend` failpoint cancels the call. `self` is left
+    /// unchanged in every case.
     pub fn extend(&mut self, batch: &Relation) -> Result<AppendReport, RelationError> {
         // Failpoint at the very top — before any state is touched — so an
         // injected panic provably leaves `self` unchanged (the chaos
         // harness relies on this to re-apply the batch after recovery). An
-        // armed `Cancel` degrades to a schema-mismatch-shaped rejection so
-        // the fault stays typed without widening this error enum.
+        // armed `Cancel` is reported as the injected fault it is.
         if let fastod_faultkit::Signal::Cancel =
             fastod_faultkit::hit(fastod_faultkit::RELATION_EXTEND)
         {
-            return Err(RelationError::SchemaMismatch {
-                expected: "relation.extend fault injected".to_string(),
-                found: "relation.extend fault injected".to_string(),
+            return Err(RelationError::Injected {
+                site: fastod_faultkit::RELATION_EXTEND,
             });
         }
         self.schema.ensure_matches(batch.schema())?;

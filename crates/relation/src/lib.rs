@@ -13,7 +13,9 @@
 //!   suite operates on these `u32` codes;
 //! * [`AttrSet`] — a 64-bit attribute-set bitset used for lattice nodes and
 //!   canonical-OD contexts;
-//! * [`csv`] — a minimal CSV reader/writer with type inference.
+//! * [`csv`] — the CSV reader (one pass from bytes to dense-rank codes,
+//!   with type inference) and writer; [`stream`] replays a file as typed
+//!   row chunks.
 //!
 //! # Example
 //!
@@ -47,6 +49,7 @@ pub mod sample;
 mod schema;
 pub mod stats;
 pub mod stream;
+mod tokenize;
 mod value;
 
 pub use attr::{AttrId, AttrSet, AttrSetIter};
@@ -59,8 +62,6 @@ pub use grow::{AppendReport, GrowableRelation};
 pub use packed::PackedCodes;
 pub use relation::{Relation, RelationBuilder};
 pub use schema::Schema;
-pub use csv::CsvOptions;
-pub use stream::{
-    read_csv_file_chunks, read_csv_file_stream, read_csv_stream, CsvChunks, StreamedCsv,
-};
+pub use csv::{CsvOptions, EncodedCsv, ParsedCsv};
+pub use stream::{read_csv_file_chunks, CsvChunks};
 pub use value::{DataType, Date, NullPolicy, Value};

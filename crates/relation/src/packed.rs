@@ -11,7 +11,7 @@
 //! view — the whole validation hot path — go through
 //! [`PackedCodes::as_slice`], which materializes an unpacked copy **lazily,
 //! once**, behind a [`OnceLock`]; scale-path consumers (the sharded level-1
-//! builder, the streaming benches) use [`PackedCodes::decode_range`] into a
+//! builder, the scale bench) use [`PackedCodes::decode_range`] into a
 //! caller scratch buffer instead and never pay for the copy.
 
 use std::sync::OnceLock;

@@ -1,537 +1,95 @@
-//! Chunked streaming CSV ingest for the 100M-row scale path.
+//! Replaying a CSV file as typed row chunks (`fastod serve --stream`).
 //!
-//! [`crate::csv::read_csv_opts`] materializes every raw cell before
-//! encoding, so a 100M-row file costs O(file) strings *plus* O(file) typed
-//! values before the first code is produced. [`read_csv_stream`] replaces
-//! that with a **two-pass dictionary build** over the same dialect:
-//!
-//! 1. **Pass 1** streams the file in chunks, collecting per column the set
-//!    of distinct raw fields (O(distinct) memory, not O(rows)), the
-//!    `Int`/`Float` parseability flags and null presence. Between the
-//!    passes the distinct raws are parsed at the inferred type, deduplicated
-//!    *as typed values* (`"01"` and `"1"` are one Int) and sorted — the
-//!    sorted position is exactly the dense rank
-//!    [`Column::rank_encode`](crate::Column::rank_encode) would assign, with
-//!    the dedicated null rank spliced in per [`NullPolicy`].
-//! 2. **Pass 2** rewinds and re-reads the file, encoding every cell by
-//!    binary search into a [`PackedCodes`] column at
-//!    `ceil(log2(cardinality + 1))` bits.
-//!
-//! The output is differentially identical — codes, cardinalities, null
-//! masks — to `read_csv_file_opts(..).encode()` at every chunk size
-//! (pinned by `tests/streaming_ingest.rs`); peak memory is
-//! O(distinct + packed codes) instead of O(rows · columns) values.
-//!
-//! [`CsvChunks`] is the sibling reader for consumers that need *raw typed
-//! rows* rather than codes (the serving layer's batch replay): pass 1
-//! infers global column types only, then the file is re-read as a sequence
-//! of [`Relation`] chunks sharing one schema.
+//! [`CsvChunks`] reads its input twice with the same tokenizer as
+//! [`crate::csv::parse_csv`]. Pass one infers the global column types and
+//! counts the rows in O(1) memory per column; pass two yields up to
+//! `chunk_rows` rows at a time as [`Relation`]s that share that schema, so
+//! each can be fed to [`crate::GrowableRelation::extend`]. A file that
+//! changes between the passes fails with [`RelationError::Csv`] instead of
+//! yielding a short or mistyped chunk.
 
+use crate::csv::{column_names, infer_type, ragged, read_header};
+use crate::tokenize::{csv_error, Tokenizer};
 use crate::{
-    Column, ColumnData, CsvOptions, DataType, EncodedRelation, NullPolicy, PackedCodes, Relation,
-    RelationBuilder, RelationError, Schema,
+    Column, ColumnData, CsvOptions, DataType, NullPolicy, Relation, RelationError, Schema,
 };
-use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Read, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
-/// Default rows per chunk for the streaming readers.
-pub const DEFAULT_CHUNK_ROWS: usize = 1 << 16;
-
-/// Result of [`read_csv_stream`]: a bit-packed encoded relation plus the
-/// per-column null masks (needed by consumers that must distinguish the
-/// null rank from value ranks; `None` for null-free columns).
-#[derive(Debug)]
-pub struct StreamedCsv {
-    /// The encoded relation, every column bit-packed at its cardinality
-    /// width.
-    pub encoded: EncodedRelation,
-    /// Per column: `Some(mask)` iff the column contains nulls
-    /// (`mask[row]` true ⇒ null), mirroring
-    /// [`Column::null_mask`](crate::Column::null_mask).
-    pub null_masks: Vec<Option<Vec<bool>>>,
-    /// Estimated peak resident bytes of the ingest itself: the larger of
-    /// the pass-1 distinct sets and the final dictionaries + packed
-    /// columns. Feeds the `relation.peak_bytes` gauge.
-    pub peak_bytes: usize,
-}
-
-/// Per-column pass-1 state: distinct raw (trimmed, quote-mapped) fields and
-/// type-inference flags. Parseability is a function of the string, so the
-/// flags only need updating when a *new* distinct value is seen.
-struct Pass1Col {
-    distinct: HashSet<String>,
-    all_int: bool,
-    all_float: bool,
-    has_nulls: bool,
-}
-
-impl Pass1Col {
-    fn new() -> Pass1Col {
-        Pass1Col {
-            distinct: HashSet::new(),
-            all_int: true,
-            all_float: true,
-            has_nulls: false,
-        }
-    }
-
-    fn see(&mut self, field: &str) {
-        if field.is_empty() {
-            self.has_nulls = true;
-            return;
-        }
-        let mapped = if field == "\"\"" { "" } else { field };
-        if !self.distinct.contains(mapped) {
-            self.all_int &= mapped.parse::<i64>().is_ok();
-            self.all_float &= mapped.parse::<f64>().is_ok();
-            self.distinct.insert(mapped.to_string());
-        }
-    }
-
-    fn data_type(&self) -> DataType {
-        if self.all_int {
-            DataType::Int
-        } else if self.all_float {
-            DataType::Float
-        } else {
-            DataType::Str
-        }
-    }
-
-    /// Rough resident-bytes estimate of the distinct set (string payloads
-    /// plus per-entry container overhead).
-    fn approx_bytes(&self) -> usize {
-        self.distinct
-            .iter()
-            .map(|s| s.capacity() + 56)
-            .sum::<usize>()
-    }
-}
-
-/// One column's sorted dictionary of distinct **typed** values; the index
-/// of a value is its dense rank among non-null cells.
-enum TypedDict {
-    Int(Vec<i64>),
-    Float(Vec<f64>),
-    Str(Vec<String>),
-}
-
-impl TypedDict {
-    fn build(col: &Pass1Col) -> TypedDict {
-        match col.data_type() {
-            DataType::Int => {
-                let mut d: Vec<i64> = col
-                    .distinct
-                    .iter()
-                    .map(|s| s.parse().expect("pass 1 verified Int parseability"))
-                    .collect();
-                d.sort_unstable();
-                d.dedup();
-                TypedDict::Int(d)
-            }
-            DataType::Float => {
-                let mut d: Vec<f64> = col
-                    .distinct
-                    .iter()
-                    .map(|s| s.parse().expect("pass 1 verified Float parseability"))
-                    .collect();
-                d.sort_unstable_by(|a, b| a.total_cmp(b));
-                d.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
-                TypedDict::Float(d)
-            }
-            _ => {
-                let mut d: Vec<String> = col.distinct.iter().cloned().collect();
-                d.sort_unstable();
-                TypedDict::Str(d)
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            TypedDict::Int(d) => d.len(),
-            TypedDict::Float(d) => d.len(),
-            TypedDict::Str(d) => d.len(),
-        }
-    }
-
-    /// The dense rank of a (non-null, quote-mapped) field, or `None` when
-    /// the field does not parse / is absent — i.e. the file changed between
-    /// the passes.
-    fn rank_of(&self, field: &str) -> Option<usize> {
-        match self {
-            TypedDict::Int(d) => d.binary_search(&field.parse::<i64>().ok()?).ok(),
-            TypedDict::Float(d) => {
-                let v = field.parse::<f64>().ok()?;
-                d.binary_search_by(|x| x.total_cmp(&v)).ok()
-            }
-            TypedDict::Str(d) => d.binary_search_by(|x| x.as_str().cmp(field)).ok(),
-        }
-    }
-
-    fn approx_bytes(&self) -> usize {
-        match self {
-            TypedDict::Int(d) => d.capacity() * 8,
-            TypedDict::Float(d) => d.capacity() * 8,
-            TypedDict::Str(d) => d.iter().map(|s| s.capacity() + 24).sum(),
-        }
-    }
-}
-
-/// Streams data rows: skips blank lines, trims fields, enforces a
-/// rectangular row shape against `n_cols` (set by the first data row when
-/// `None`). `header` receives the raw header fields when `has_header`.
-fn for_each_data_row<B: BufRead>(
-    reader: B,
-    has_header: bool,
-    header: &mut Option<Vec<String>>,
-    n_cols: &mut Option<usize>,
-    mut f: impl FnMut(usize, &[&str]) -> Result<(), RelationError>,
-) -> Result<(), RelationError> {
-    let mut lines = reader.lines();
-    let mut line_no = 0usize;
-    if has_header {
-        line_no += 1;
-        match lines.next() {
-            Some(line) => {
-                let line = line?;
-                *header = Some(line.split(',').map(|s| s.trim().to_string()).collect());
-            }
-            None => {
-                return Err(RelationError::Csv {
-                    line: 1,
-                    message: "expected a header line".into(),
-                })
-            }
-        }
-    }
-    for line in lines {
-        line_no += 1;
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        match *n_cols {
-            None => *n_cols = Some(fields.len()),
-            Some(n) if fields.len() != n => {
-                return Err(RelationError::Csv {
-                    line: line_no,
-                    message: format!("expected {} fields, found {}", n, fields.len()),
-                });
-            }
-            _ => {}
-        }
-        f(line_no, &fields)?;
-    }
-    Ok(())
-}
-
-/// Reads CSV text into a bit-packed [`EncodedRelation`] via a two-pass
-/// streaming dictionary build — same dialect, nulls and type inference as
-/// [`crate::csv::read_csv_opts`], without materializing the file's values.
-///
-/// `chunk_rows` bounds the rows encoded per flush in pass 2 (`0` means
-/// whole-file); the output is identical at every chunk size. The input must
-/// be [`Seek`]able — the file is read twice. A file that changes between
-/// the passes (truncated, appended, edited) fails with
-/// [`RelationError::Csv`] rather than producing torn codes.
-pub fn read_csv_stream<R: Read + Seek>(
-    mut input: R,
-    opts: CsvOptions,
-    chunk_rows: usize,
-) -> Result<StreamedCsv, RelationError> {
-    let chunk_rows = if chunk_rows == 0 { usize::MAX } else { chunk_rows };
-
-    // ---- Pass 1: distinct values, type flags, null presence. ----
-    let mut header: Option<Vec<String>> = None;
-    let mut n_cols: Option<usize> = None;
-    let mut cols: Vec<Pass1Col> = Vec::new();
-    let mut pass1_rows = 0usize;
-    for_each_data_row(
-        BufReader::new(&mut input),
-        opts.has_header,
-        &mut header,
-        &mut n_cols,
-        |_, fields| {
-            if cols.is_empty() {
-                cols = fields.iter().map(|_| Pass1Col::new()).collect();
-            }
-            for (col, field) in cols.iter_mut().zip(fields) {
-                col.see(field);
-            }
-            pass1_rows += 1;
-            Ok(())
-        },
-    )?;
-
-    // Mirror `read_csv_opts` exactly: with no data rows the relation is
-    // empty (even under a header), and the header count is only checked
-    // against actual rows.
-    let n_cols = n_cols.unwrap_or(0);
-    let names: Vec<String> = match header {
-        Some(h) => {
-            if n_cols > 0 && h.len() != n_cols {
-                return Err(RelationError::Csv {
-                    line: 1,
-                    message: format!("header has {} fields but rows have {}", h.len(), n_cols),
-                });
-            }
-            h.into_iter().take(n_cols).collect()
-        }
-        None => (0..n_cols).map(|i| format!("c{i}")).collect(),
-    };
-    if opts.null_policy.is_none() {
-        if let Some(a) = cols.iter().position(|c| c.has_nulls) {
-            return Err(RelationError::NullPolicyRequired {
-                column: names[a].clone(),
-            });
-        }
-    }
-
-    let pass1_bytes: usize = cols.iter().map(Pass1Col::approx_bytes).sum();
-    let schema = Schema::new(
-        names
-            .iter()
-            .zip(&cols)
-            .map(|(n, c)| (n.clone(), c.data_type()))
-            .collect(),
-    )?;
-    let dicts: Vec<TypedDict> = cols.iter().map(TypedDict::build).collect();
-    let has_nulls: Vec<bool> = cols.iter().map(|c| c.has_nulls).collect();
-    drop(cols);
-
-    // Rank layout per column (matching `rank_encode_nullable`): nulls share
-    // one rank at the front (`First`) or back (`Last`) of the value ranks.
-    let policy = opts.null_policy.unwrap_or(NullPolicy::First);
-    let cardinalities: Vec<u32> = dicts
-        .iter()
-        .zip(&has_nulls)
-        .map(|(d, &nulls)| (d.len() + usize::from(nulls)) as u32)
-        .collect();
-    let offsets: Vec<u32> = has_nulls
-        .iter()
-        .map(|&nulls| u32::from(nulls && policy == NullPolicy::First))
-        .collect();
-    let null_codes: Vec<u32> = dicts
-        .iter()
-        .map(|d| match policy {
-            NullPolicy::First => 0,
-            NullPolicy::Last => d.len() as u32,
-        })
-        .collect();
-
-    // ---- Pass 2: rewind and encode chunk by chunk. ----
-    input.seek(SeekFrom::Start(0))?;
-    let mut packed: Vec<PackedCodes> = cardinalities
-        .iter()
-        .map(|&card| PackedCodes::with_capacity(card, pass1_rows))
-        .collect();
-    let mut masks: Vec<Option<Vec<bool>>> = has_nulls
-        .iter()
-        .map(|&nulls| nulls.then(|| Vec::with_capacity(pass1_rows)))
-        .collect();
-    // Per-chunk code buffers: rows accumulate here and flush into the
-    // packed columns every `chunk_rows` rows.
-    let mut chunk: Vec<Vec<u32>> = vec![Vec::new(); n_cols];
-    let mut chunk_len = 0usize;
-    let mut pass2_rows = 0usize;
-    let mut skip_header = None;
-    let mut n_cols2 = Some(n_cols).filter(|&n| n > 0);
-    for_each_data_row(
-        BufReader::new(&mut input),
-        opts.has_header,
-        &mut skip_header,
-        &mut n_cols2,
-        |line_no, fields| {
-            for (a, field) in fields.iter().enumerate() {
-                let code = if field.is_empty() {
-                    if let Some(mask) = &mut masks[a] {
-                        mask.resize(pass2_rows, false);
-                        mask.push(true);
-                    } else {
-                        return Err(changed(line_no, "a null appeared"));
-                    }
-                    null_codes[a]
-                } else {
-                    let mapped = if *field == "\"\"" { "" } else { field };
-                    match dicts[a].rank_of(mapped) {
-                        Some(rank) => rank as u32 + offsets[a],
-                        None => return Err(changed(line_no, "an unseen value appeared")),
-                    }
-                };
-                chunk[a].push(code);
-            }
-            chunk_len += 1;
-            pass2_rows += 1;
-            if chunk_len >= chunk_rows {
-                flush_chunk(&mut chunk, &mut packed, &mut chunk_len);
-            }
-            Ok(())
-        },
-    )?;
-    flush_chunk(&mut chunk, &mut packed, &mut chunk_len);
-    if pass2_rows != pass1_rows {
-        return Err(changed(
-            pass2_rows.max(pass1_rows),
-            "the row count changed",
-        ));
-    }
-    // Null masks are row-complete per column; pad the tail of rows whose
-    // column saw no further nulls.
-    for mask in masks.iter_mut().flatten() {
-        mask.resize(pass1_rows, false);
-    }
-
-    let encoded = EncodedRelation::from_packed(schema, packed, cardinalities);
-    let final_bytes = encoded.memory_bytes()
-        + dicts.iter().map(TypedDict::approx_bytes).sum::<usize>();
-    Ok(StreamedCsv {
-        encoded,
-        null_masks: masks,
-        peak_bytes: pass1_bytes.max(final_bytes),
-    })
-}
-
-fn changed(line: usize, what: &str) -> RelationError {
-    RelationError::Csv {
-        line,
-        message: format!("file changed between streaming passes: {what}"),
-    }
-}
-
-fn flush_chunk(chunk: &mut [Vec<u32>], packed: &mut [PackedCodes], chunk_len: &mut usize) {
-    for (codes, col) in chunk.iter_mut().zip(packed.iter_mut()) {
-        for &c in codes.iter() {
-            col.push(c);
-        }
-        codes.clear();
-    }
-    *chunk_len = 0;
-}
-
-/// Streaming variant of [`crate::csv::read_csv_file_opts`]: reads a CSV
-/// file into a bit-packed [`EncodedRelation`] via [`read_csv_stream`].
-pub fn read_csv_file_stream<P: AsRef<Path>>(
-    path: P,
-    opts: CsvOptions,
-    chunk_rows: usize,
-) -> Result<StreamedCsv, RelationError> {
-    let file = std::fs::File::open(path)?;
-    read_csv_stream(file, opts, chunk_rows)
-}
-
-/// An iterator of raw typed [`Relation`] chunks over a CSV input, sharing
-/// one globally inferred schema.
-///
-/// Pass 1 scans the whole input once for column types and null presence
-/// (O(1) memory per column — no distinct sets); the iterator then re-reads
-/// the input yielding up to `chunk_rows` rows per [`Relation`]. Because the
-/// types are global, every chunk has the same schema and can be fed to
-/// [`crate::GrowableRelation::extend`] — which is exactly how
-/// `fastod serve --stream` replays a file as an append workload.
+/// An iterator of typed [`Relation`] chunks over a CSV input, sharing one
+/// globally inferred schema. After the first error it yields nothing more.
 pub struct CsvChunks<R: Read> {
-    lines: std::io::Lines<BufReader<R>>,
-    names: Vec<String>,
-    types: Vec<DataType>,
+    tok: Tokenizer<R>,
+    schema: Schema,
     policy: Option<NullPolicy>,
-    n_cols: usize,
     n_rows: usize,
     chunk_rows: usize,
-    line_no: usize,
     emitted: usize,
     failed: bool,
 }
 
+fn changed(line: usize, what: &str) -> RelationError {
+    csv_error(
+        line,
+        1,
+        format!("file changed between streaming passes: {what}"),
+    )
+}
+
 impl<R: Read + Seek> CsvChunks<R> {
-    /// Builds the chunk reader: pass 1 infers the global schema, then the
-    /// input is rewound for iteration. `chunk_rows == 0` means whole-file.
+    /// Builds the chunk reader: pass one infers the schema, then the input
+    /// is rewound for iteration. `chunk_rows == 0` means whole-file.
     pub fn new(
         mut input: R,
         opts: CsvOptions,
         chunk_rows: usize,
     ) -> Result<CsvChunks<R>, RelationError> {
-        let chunk_rows = if chunk_rows == 0 { usize::MAX } else { chunk_rows };
-        let mut header: Option<Vec<String>> = None;
-        let mut n_cols: Option<usize> = None;
-        let mut flags: Vec<(bool, bool, bool)> = Vec::new(); // (all_int, all_float, has_nulls)
+        let mut tok = Tokenizer::new(&mut input);
+        let header = read_header(&mut tok, opts.has_header)?;
+        // Per column: (all Int, all Float, has nulls).
+        let mut flags: Vec<(bool, bool, bool)> = Vec::new();
         let mut n_rows = 0usize;
-        for_each_data_row(
-            BufReader::new(&mut input),
-            opts.has_header,
-            &mut header,
-            &mut n_cols,
-            |_, fields| {
-                if flags.is_empty() {
-                    flags = fields.iter().map(|_| (true, true, false)).collect();
-                }
-                for ((all_int, all_float, has_nulls), field) in flags.iter_mut().zip(fields) {
-                    if field.is_empty() {
-                        *has_nulls = true;
-                    } else {
-                        let mapped = if *field == "\"\"" { "" } else { *field };
-                        *all_int &= mapped.parse::<i64>().is_ok();
-                        *all_float &= mapped.parse::<f64>().is_ok();
-                    }
-                }
-                n_rows += 1;
-                Ok(())
-            },
-        )?;
-        let n_cols = n_cols.unwrap_or(0);
-        let names: Vec<String> = match header {
-            Some(h) => {
-                if n_cols > 0 && h.len() != n_cols {
-                    return Err(RelationError::Csv {
-                        line: 1,
-                        message: format!(
-                            "header has {} fields but rows have {}",
-                            h.len(),
-                            n_cols
-                        ),
-                    });
-                }
-                h.into_iter().take(n_cols).collect()
+        while let Some(rec) = tok.next_record(true)? {
+            if flags.is_empty() {
+                flags = vec![(true, true, false); rec.len()];
             }
-            None => (0..n_cols).map(|i| format!("c{i}")).collect(),
-        };
+            if rec.len() != flags.len() {
+                return Err(ragged(&rec, flags.len()));
+            }
+            for (i, (all_int, all_float, has_nulls)) in flags.iter_mut().enumerate() {
+                if rec.cell(i).is_none() {
+                    *has_nulls = true;
+                    continue;
+                }
+                let text = rec.text(i)?;
+                *all_int = *all_int && text.parse::<i64>().is_ok();
+                *all_float = *all_float && text.parse::<f64>().is_ok();
+            }
+            n_rows += 1;
+        }
+        let names = column_names(header, flags.len())?;
+        let types = flags.iter().map(|&(int, float, _)| infer_type(int, float));
+        let schema = Schema::new(names.into_iter().zip(types).collect())?;
         if opts.null_policy.is_none() {
-            if let Some(a) = flags.iter().position(|&(_, _, nulls)| nulls) {
+            if let Some(a) = flags.iter().position(|f| f.2) {
                 return Err(RelationError::NullPolicyRequired {
-                    column: names[a].clone(),
+                    column: schema.name(a).to_string(),
                 });
             }
         }
-        let types: Vec<DataType> = flags
-            .iter()
-            .map(|&(all_int, all_float, _)| {
-                if all_int {
-                    DataType::Int
-                } else if all_float {
-                    DataType::Float
-                } else {
-                    DataType::Str
-                }
-            })
-            .collect();
-
         input.seek(SeekFrom::Start(0))?;
-        let mut lines = BufReader::new(input).lines();
-        let mut line_no = 0usize;
-        if opts.has_header {
-            line_no += 1;
-            lines.next().transpose()?;
-        }
+        let mut tok = Tokenizer::new(input);
+        read_header(&mut tok, opts.has_header)?;
         Ok(CsvChunks {
-            lines,
-            names,
-            types,
+            tok,
+            schema,
             policy: opts.null_policy,
-            n_cols,
             n_rows,
-            chunk_rows,
-            line_no,
+            chunk_rows: if chunk_rows == 0 {
+                usize::MAX
+            } else {
+                chunk_rows
+            },
             emitted: 0,
             failed: false,
         })
@@ -539,60 +97,74 @@ impl<R: Read + Seek> CsvChunks<R> {
 }
 
 impl<R: Read> CsvChunks<R> {
-    /// Total data rows counted by pass 1.
+    /// Total data rows counted by pass one.
     pub fn n_rows(&self) -> usize {
         self.n_rows
     }
 
-    /// Column names (header or `c0, c1, ...`).
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Globally inferred column types.
-    pub fn types(&self) -> &[DataType] {
-        &self.types
-    }
-
-    fn build_chunk(
-        &self,
-        raw: Vec<Vec<String>>,
-        masks: Vec<Vec<bool>>,
-        first_line: usize,
-    ) -> Result<Relation, RelationError> {
-        let mut builder = RelationBuilder::new();
-        if let Some(policy) = self.policy {
-            builder = builder.null_policy(policy);
-        }
-        for (a, (cells, mask)) in raw.into_iter().zip(masks).enumerate() {
-            let data = match self.types[a] {
-                DataType::Int => {
-                    let mut v = Vec::with_capacity(cells.len());
-                    for (cell, &null) in cells.iter().zip(&mask) {
-                        v.push(if null {
-                            0
-                        } else {
-                            cell.parse().map_err(|_| changed(first_line, "an Int column stopped parsing"))?
-                        });
-                    }
-                    ColumnData::Int(v)
+    fn next_chunk(&mut self) -> Result<Option<Relation>, RelationError> {
+        let n = self.schema.n_attrs();
+        let mut data: Vec<ColumnData> = (0..n)
+            .map(|a| match self.schema.data_type(a) {
+                DataType::Int => ColumnData::Int(Vec::new()),
+                DataType::Float => ColumnData::Float(Vec::new()),
+                _ => ColumnData::Str(Vec::new()),
+            })
+            .collect();
+        let mut masks: Vec<Vec<bool>> = vec![Vec::new(); n];
+        let mut rows = 0usize;
+        while rows < self.chunk_rows {
+            let Some(rec) = self.tok.next_record(true)? else {
+                // Truncation is reported the moment the end of input is
+                // seen, so a short final chunk never escapes as `Ok`.
+                if self.emitted + rows != self.n_rows {
+                    return Err(changed(self.tok.line(), "the row count changed"));
                 }
-                DataType::Float => {
-                    let mut v = Vec::with_capacity(cells.len());
-                    for (cell, &null) in cells.iter().zip(&mask) {
-                        v.push(if null {
-                            0.0
-                        } else {
-                            cell.parse().map_err(|_| changed(first_line, "a Float column stopped parsing"))?
-                        });
-                    }
-                    ColumnData::Float(v)
-                }
-                _ => ColumnData::Str(cells),
+                break;
             };
-            builder = builder.column_raw(&self.names[a], Column::with_nulls(data, mask));
+            if rec.len() != n {
+                return Err(ragged(&rec, n));
+            }
+            for (i, (col, mask)) in data.iter_mut().zip(&mut masks).enumerate() {
+                let null = rec.cell(i).is_none();
+                mask.push(null);
+                let text = rec.text(i)?;
+                let stopped = || {
+                    rec.error(
+                        i,
+                        "file changed between streaming passes: a value stopped parsing",
+                    )
+                };
+                match col {
+                    ColumnData::Int(v) => v.push(if null {
+                        0
+                    } else {
+                        text.parse().map_err(|_| stopped())?
+                    }),
+                    ColumnData::Float(v) => v.push(if null {
+                        0.0
+                    } else {
+                        text.parse().map_err(|_| stopped())?
+                    }),
+                    ColumnData::Str(v) => v.push(text.to_string()),
+                    ColumnData::Date(_) => unreachable!("the reader never infers Date"),
+                }
+            }
+            rows += 1;
         }
-        builder.build()
+        if rows == 0 {
+            return Ok(None);
+        }
+        self.emitted += rows;
+        if self.emitted > self.n_rows {
+            return Err(changed(self.tok.line(), "the row count changed"));
+        }
+        let columns = data
+            .into_iter()
+            .zip(masks)
+            .map(|(d, m)| Column::with_nulls(d, m))
+            .collect();
+        Relation::with_policy(self.schema.clone(), columns, self.policy).map(Some)
     }
 }
 
@@ -613,62 +185,13 @@ impl<R: Read> Iterator for CsvChunks<R> {
     }
 }
 
-impl<R: Read> CsvChunks<R> {
-    fn next_chunk(&mut self) -> Result<Option<Relation>, RelationError> {
-        let mut raw: Vec<Vec<String>> = vec![Vec::new(); self.n_cols];
-        let mut masks: Vec<Vec<bool>> = vec![Vec::new(); self.n_cols];
-        let mut rows = 0usize;
-        let mut eof = false;
-        let first_line = self.line_no + 1;
-        while rows < self.chunk_rows {
-            let Some(line) = self.lines.next() else {
-                eof = true;
-                break;
-            };
-            self.line_no += 1;
-            let line = line?;
-            if line.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-            if fields.len() != self.n_cols {
-                return Err(RelationError::Csv {
-                    line: self.line_no,
-                    message: format!("expected {} fields, found {}", self.n_cols, fields.len()),
-                });
-            }
-            for (a, field) in fields.iter().enumerate() {
-                let null = field.is_empty();
-                masks[a].push(null);
-                let mapped = if *field == "\"\"" { "" } else { *field };
-                raw[a].push(if null { String::new() } else { mapped.to_string() });
-            }
-            rows += 1;
-        }
-        // Truncation is reported the moment the end of input is seen, so a
-        // short final chunk never escapes as `Ok` ahead of the error.
-        if eof && self.emitted + rows != self.n_rows {
-            return Err(changed(self.line_no, "the row count changed"));
-        }
-        if rows == 0 {
-            return Ok(None);
-        }
-        self.emitted += rows;
-        if self.emitted > self.n_rows {
-            return Err(changed(self.line_no, "the row count changed"));
-        }
-        self.build_chunk(raw, masks, first_line).map(Some)
-    }
-}
-
 /// [`CsvChunks`] over a file on disk.
 pub fn read_csv_file_chunks<P: AsRef<Path>>(
     path: P,
     opts: CsvOptions,
     chunk_rows: usize,
 ) -> Result<CsvChunks<std::fs::File>, RelationError> {
-    let file = std::fs::File::open(path)?;
-    CsvChunks::new(file, opts, chunk_rows)
+    CsvChunks::new(std::fs::File::open(path)?, opts, chunk_rows)
 }
 
 #[cfg(test)]
@@ -677,59 +200,9 @@ mod tests {
     use crate::csv::read_csv_opts;
     use std::io::Cursor;
 
-    fn assert_stream_matches(text: &str, opts: CsvOptions, chunk_rows: usize) {
-        let rel = read_csv_opts(text.as_bytes(), opts).unwrap();
-        let enc = rel.encode();
-        let streamed = read_csv_stream(Cursor::new(text), opts, chunk_rows).unwrap();
-        assert_eq!(streamed.encoded.n_rows(), enc.n_rows());
-        assert_eq!(streamed.encoded.n_attrs(), enc.n_attrs());
-        for a in 0..enc.n_attrs() {
-            assert_eq!(streamed.encoded.schema().name(a), rel.schema().name(a));
-            assert_eq!(
-                streamed.encoded.schema().data_type(a),
-                rel.schema().data_type(a)
-            );
-            assert_eq!(streamed.encoded.codes(a), enc.codes(a), "attr {a}");
-            assert_eq!(streamed.encoded.cardinality(a), enc.cardinality(a));
-            assert_eq!(
-                streamed.null_masks[a].as_deref(),
-                rel.column(a).null_mask(),
-                "attr {a} mask"
-            );
-        }
-    }
-
-    #[test]
-    fn matches_one_shot_reader() {
-        let text = "id,grp,score\n3,b,1.5\n1,a,2\n2,b,1.5\n";
-        for chunk in [1, 2, 0] {
-            assert_stream_matches(text, CsvOptions::with_header(), chunk);
-        }
-    }
-
-    #[test]
-    fn nulls_and_quoted_empty() {
-        let text = "s,n\nx,\n,2\n\"\",3\n";
-        for policy in [NullPolicy::First, NullPolicy::Last] {
-            let opts = CsvOptions::with_header().null_policy(policy);
-            assert_stream_matches(text, opts, 1);
-        }
-    }
-
-    #[test]
-    fn null_without_policy_is_rejected() {
-        let err = read_csv_stream(
-            Cursor::new("a,b\n1,x\n,y\n"),
-            CsvOptions::with_header(),
-            0,
-        )
-        .unwrap_err();
-        assert!(matches!(err, RelationError::NullPolicyRequired { column } if column == "a"));
-    }
-
     #[test]
     fn chunk_iterator_replays_the_file() {
-        let text = "x,y\n10,a\n20,b\n30,a\n40,c\n50,b\n";
+        let text = "x,y\n10,a\n20,b\n30,\"a,\"\"q\"\"\"\n40,c\n50,b\n";
         let mut chunks = CsvChunks::new(Cursor::new(text), CsvOptions::with_header(), 2).unwrap();
         assert_eq!(chunks.n_rows(), 5);
         let full = read_csv_opts(text.as_bytes(), CsvOptions::with_header()).unwrap();
@@ -744,5 +217,13 @@ mod tests {
             }
         }
         assert_eq!(concat.unwrap(), full);
+    }
+
+    #[test]
+    fn null_without_policy_is_rejected() {
+        let err = CsvChunks::new(Cursor::new("a,b\n1,x\n,y\n"), CsvOptions::with_header(), 0)
+            .err()
+            .unwrap();
+        assert!(matches!(err, RelationError::NullPolicyRequired { column } if column == "a"));
     }
 }

@@ -15,15 +15,19 @@
 //! replays the same scenarios through the serving layer while a seeded
 //! `fastod-faultkit` schedule panics, delays and cancels the maintenance
 //! machinery, asserting containment, lock-free log-prefix reads, and
-//! oracle-identical covers after self-healing.
+//! oracle-identical covers after self-healing. [`csv_oracle`] keeps the
+//! suite's original split-and-parse CSV reader as the reference the
+//! single-pass production reader is checked against.
 
 #![deny(missing_docs)]
 
 pub mod chaos;
+pub mod csv_oracle;
 pub mod differential;
 pub mod oracle;
 
 pub use chaos::{run_chaos, run_chaos_corpus, ChaosReport};
+pub use csv_oracle::oracle_read_csv;
 pub use differential::{run_corpus, run_differential, DifferentialOutcome};
 pub use oracle::{
     oracle_minimal_cover, oracle_valid_ods, oracle_violation_count, OracleReport,

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! USAGE:
-//!   fastod <FILE.csv> [OPTIONS]
+//!   fastod <FILE.csv | -> [OPTIONS]     (`-` reads the CSV from stdin)
 //!   fastod stats <FILE.csv> [OPTIONS]
 //!   fastod check <FILE.csv> [OPTIONS]
 //!   fastod serve <FILE.csv> [OPTIONS]
@@ -22,15 +22,11 @@
 //!                          witnesses; OD syntax: "ctx1,ctx2:[]->A" or
 //!                          "ctx1:A~B" (attribute names)
 //!   --stats                print per-level statistics (Figure 7 style)
-//!   --stream               ingest the CSV via the two-pass streaming
-//!                          dictionary build into bit-packed code columns
-//!                          (the 100M-row scale path): peak memory is
-//!                          O(distinct values + packed codes) instead of
-//!                          O(rows), reported via the `relation.peak_bytes`
-//!                          gauge; codes/cardinalities/covers are identical
-//!                          to the one-shot reader
-//!   --chunk-rows <N>       rows per streaming chunk (default 65536;
-//!                          0 = whole file)
+//!   --stream               bit-pack the code columns after ingest (the
+//!                          scale path: ceil(log2(card + 1)) bits per code;
+//!                          covers are identical). Under `serve` it replays
+//!                          the file in --batch-row chunks without loading
+//!                          it whole
 //!   --trace <FILE.jsonl>   write a structured span trace of the run (one
 //!                          JSON event per closed span; schema documented
 //!                          in fastod-obs) and enable metrics collection
@@ -73,8 +69,8 @@
 use fastod_suite::discovery::{ApproxConfig, ApproxFastod, CancelToken};
 use fastod_suite::obs::{LogHistogram, Obs};
 use fastod_suite::prelude::*;
-use fastod_suite::relation::csv::{read_csv_file_opts, CsvOptions};
-use fastod_suite::relation::{read_csv_file_chunks, read_csv_file_stream, NullPolicy};
+use fastod_suite::relation::csv::{parse_csv, CsvOptions};
+use fastod_suite::relation::{read_csv_file_chunks, EncodedCsv, NullPolicy, RelationError};
 use fastod_suite::serve::ServeConfig;
 use fastod_suite::theory::{find_violations, CheckReport};
 use std::process::ExitCode;
@@ -109,11 +105,9 @@ struct Args {
     /// `serve`: wall-clock budget per maintenance pass; an overrunning
     /// pass fails like a cancelled one and auto-recovery rebuilds it.
     pass_deadline_ms: Option<u64>,
-    /// Ingest via the two-pass streaming dictionary build into bit-packed
-    /// code columns instead of materializing the whole file's values.
+    /// Bit-pack the code columns after ingest; under `serve`, replay the
+    /// file in chunks instead of loading it whole.
     stream: bool,
-    /// Rows per streaming chunk (0 = whole file).
-    chunk_rows: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -142,7 +136,6 @@ fn parse_args() -> Result<Args, String> {
         base_frac: 0.5,
         pass_deadline_ms: None,
         stream: false,
-        chunk_rows: fastod_suite::relation::stream::DEFAULT_CHUNK_ROWS,
     };
     let mut iter = std::env::args().skip(1).peekable();
     match iter.peek().map(String::as_str) {
@@ -167,11 +160,6 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--no-header" => args.header = false,
             "--stream" => args.stream = true,
-            "--chunk-rows" => {
-                args.chunk_rows = need(&mut iter, "--chunk-rows")?
-                    .parse()
-                    .map_err(|e| format!("--chunk-rows: {e}"))?
-            }
             "--stats" => args.stats = true,
             "--verbose" => args.verbose = true,
             "--trace" => args.trace = Some(need(&mut iter, "--trace")?),
@@ -245,7 +233,7 @@ fn parse_args() -> Result<Args, String> {
                 )
             }
             "--help" | "-h" => return Err("help".into()),
-            other if args.file.is_empty() && !other.starts_with('-') => {
+            other if args.file.is_empty() && (other == "-" || !other.starts_with('-')) => {
                 args.file = other.to_string()
             }
             other => return Err(format!("unknown argument: {other}")),
@@ -286,7 +274,7 @@ fn parse_od(spec: &str, schema: &Schema) -> Result<CanonicalOd, String> {
 /// count, witness pairs, and a minimum-cardinality repair (rows whose
 /// removal makes the rule hold). `--json` emits the `fastod.check.v1`
 /// document instead.
-fn run_check(enc: &EncodedRelation, rel: Option<&Relation>, args: &Args, obs: &Obs) -> ExitCode {
+fn run_check(enc: &EncodedRelation, rel: &Relation, args: &Args, obs: &Obs) -> ExitCode {
     let names = enc.schema().names();
     let ods: Vec<CanonicalOd> = if args.near_valid {
         let cfg = ApproxConfig::new(args.max_error)
@@ -336,15 +324,7 @@ fn run_check(enc: &EncodedRelation, rel: Option<&Relation>, args: &Args, obs: &O
                 rule.removal_rows,
             );
             for w in &rule.witnesses {
-                // Witness values need the raw relation; streamed ingest
-                // never materializes one, so fall back to the row ids.
-                match rel {
-                    Some(rel) => println!("    witness: {}", w.describe(rel)),
-                    None => {
-                        let (i, j) = w.rows();
-                        println!("    witness: rows ({i}, {j})");
-                    }
-                }
+                println!("    witness: {}", w.describe(rel));
             }
         }
         eprintln!(
@@ -551,6 +531,10 @@ fn run_serve(rel: &Relation, args: &Args, obs: &Obs) -> ExitCode {
 /// `--base-frac` of the rows are covered, and every later chunk is pushed
 /// through the serving layer as an append batch.
 fn run_serve_stream(args: &Args, opts: CsvOptions, obs: &Obs) -> ExitCode {
+    if args.file == "-" {
+        eprintln!("serve --stream reads its file twice; stdin cannot be rewound");
+        return ExitCode::FAILURE;
+    }
     let batch = args.batch.max(1);
     let mut chunks = match read_csv_file_chunks(&args.file, opts, batch) {
         Ok(c) => c,
@@ -670,9 +654,8 @@ fn run_serve_stream(args: &Args, opts: CsvOptions, obs: &Obs) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The discovery tail shared by the one-shot and streamed ingest paths:
-/// `--violations` single-rule checking, then exact/approximate discovery.
-/// `rel` is absent under `--stream` (witness values fall back to row ids).
+/// `--violations` single-rule checking (`rel` is decoded for it, to print
+/// witness values), else exact/approximate discovery.
 fn run_discover(enc: &EncodedRelation, rel: Option<&Relation>, args: &Args, obs: &Obs) -> ExitCode {
     let names = enc.schema().names();
     if let Some(spec) = &args.violations {
@@ -688,14 +671,9 @@ fn run_discover(enc: &EncodedRelation, rel: Option<&Relation>, args: &Args, obs:
             println!("{} HOLDS", od.display(names));
         } else {
             println!("{} VIOLATED ({} witnesses shown):", od.display(names), violations.len());
+            let rel = rel.expect("--violations decodes the relation");
             for v in violations {
-                match rel {
-                    Some(rel) => println!("  {}", v.describe(rel)),
-                    None => {
-                        let (i, j) = v.rows();
-                        println!("  rows ({i}, {j})");
-                    }
-                }
+                println!("  {}", v.describe(rel));
             }
         }
         return ExitCode::SUCCESS;
@@ -752,6 +730,37 @@ fn run_discover(enc: &EncodedRelation, rel: Option<&Relation>, args: &Args, obs:
     ExitCode::SUCCESS
 }
 
+/// Reads the CSV (`-` is stdin) straight to dense-rank codes, in two
+/// traced phases: `ingest.parse` (tokenize and hand out provisional ids)
+/// and `ingest.encode` (sort each dictionary once and remap the ids).
+fn ingest(args: &Args, opts: CsvOptions, obs: &Obs) -> Result<EncodedCsv, RelationError> {
+    let input: Box<dyn std::io::Read> = if args.file == "-" {
+        Box::new(std::io::stdin().lock())
+    } else {
+        Box::new(std::fs::File::open(&args.file)?)
+    };
+    let parsed = {
+        let mut span = obs.span("ingest.parse");
+        let parsed = parse_csv(input, opts)?;
+        span.record("rows", parsed.n_rows() as u64);
+        span.record("attrs", parsed.n_attrs() as u64);
+        span.record("bytes", parsed.bytes());
+        parsed
+    };
+    if obs.is_enabled() {
+        obs.set_gauge("relation.peak_bytes", parsed.memory_bytes() as f64);
+    }
+    let _span = obs.span_with(
+        "ingest.encode",
+        &[
+            ("rows", parsed.n_rows() as u64),
+            ("attrs", parsed.n_attrs() as u64),
+            ("bytes", parsed.bytes()),
+        ],
+    );
+    Ok(parsed.encode())
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -760,9 +769,9 @@ fn main() -> ExitCode {
                 eprintln!("error: {msg}\n");
             }
             eprintln!(
-                "usage: fastod <FILE.csv> [--no-header] [--max-level N] [--timeout SECS] \
+                "usage: fastod <FILE.csv | -> [--no-header] [--max-level N] [--timeout SECS] \
                  [--threads N] [--epsilon F] [--violations OD] [--stats] [--stream] \
-                 [--chunk-rows N] [--trace OUT.jsonl]\n       \
+                 [--trace OUT.jsonl]\n       \
                  fastod stats <FILE.csv> [same options]\n       \
                  fastod check <FILE.csv> [--od SPEC]... [--discover-near-valid] \
                  [--max-error F] [--witnesses N] [--nulls first|last] [--json] [--stream]\n       \
@@ -799,38 +808,12 @@ fn main() -> ExitCode {
         code
     };
 
-    if args.stream {
-        if args.serve {
-            let code = run_serve_stream(&args, opts, &obs);
-            return finish(code, &obs);
-        }
-        let streamed = match read_csv_file_stream(&args.file, opts, args.chunk_rows) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error reading {}: {e}", args.file);
-                return ExitCode::FAILURE;
-            }
-        };
-        obs.set_gauge("relation.peak_bytes", streamed.peak_bytes as f64);
-        let enc = streamed.encoded;
-        eprintln!(
-            "loaded {} (streamed): {} rows x {} attributes; {} encoded bytes, {} peak during ingest",
-            args.file,
-            enc.n_rows(),
-            enc.n_attrs(),
-            enc.memory_bytes(),
-            streamed.peak_bytes,
-        );
-        let code = if args.check {
-            run_check(&enc, None, &args, &obs)
-        } else {
-            run_discover(&enc, None, &args, &obs)
-        };
+    if args.stream && args.serve {
+        let code = run_serve_stream(&args, opts, &obs);
         return finish(code, &obs);
     }
-
-    let rel = match read_csv_file_opts(&args.file, opts) {
-        Ok(r) => r,
+    let table = match ingest(&args, opts, &obs) {
+        Ok(t) => t,
         Err(e) => {
             eprintln!("error reading {}: {e}", args.file);
             return ExitCode::FAILURE;
@@ -839,15 +822,23 @@ fn main() -> ExitCode {
     eprintln!(
         "loaded {}: {} rows x {} attributes",
         args.file,
-        rel.n_rows(),
-        rel.n_attrs()
+        table.encoded().n_rows(),
+        table.encoded().n_attrs()
     );
-    let code = if args.serve {
-        run_serve(&rel, &args, &obs)
-    } else if args.check {
-        run_check(&rel.encode(), Some(&rel), &args, &obs)
-    } else {
-        run_discover(&rel.encode(), Some(&rel), &args, &obs)
+    if args.serve {
+        let code = run_serve(&table.decode(), &args, &obs);
+        return finish(code, &obs);
+    }
+    // Witnesses print values, which only a decoded relation has.
+    let rel = (args.check || args.violations.is_some()).then(|| table.decode());
+    let mut enc = table.into_encoded();
+    if args.stream {
+        enc.pack();
+        eprintln!("packed code columns: {} bytes", enc.memory_bytes());
+    }
+    let code = match &rel {
+        Some(rel) if args.check => run_check(&enc, rel, &args, &obs),
+        _ => run_discover(&enc, rel.as_ref(), &args, &obs),
     };
     finish(code, &obs)
 }
