@@ -11,9 +11,13 @@
 //! quoted empty string `""` (padded or not), nulls under both policies and
 //! without one, and the odd ragged row. Both readers must produce the same
 //! table or the same error.
+//!
+//! The reference reader knows no quoting, so RFC 4180 quoting is checked
+//! by a round trip instead: any string relation `write_csv` writes reads
+//! back equal.
 
-use fastod_suite::relation::csv::read_csv_encoded;
-use fastod_suite::relation::{CsvOptions, NullPolicy};
+use fastod_suite::relation::csv::{read_csv_encoded, read_csv_opts, write_csv};
+use fastod_suite::relation::{CsvOptions, NullPolicy, RelationBuilder};
 use fastod_testkit::oracle_read_csv;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -136,5 +140,39 @@ proptest! {
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
             (a, b) => panic!("readers disagree on {text:?}: oracle {:?}, single-pass {:?}", a.err(), b.err()),
         }
+    }
+}
+
+/// Pieces of generated strings: delimiters, quotes, line breaks and
+/// whitespace that force quoting, plus plain letters.
+const PIECES: &[&str] = &["a", "x", ",", "\"", "\n", "\r", "\r\n", " ", "\t", "\u{a0}", "é"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn quoted_strings_round_trip(seed in any::<u64>(), n_rows in 1usize..10) {
+        let mut rng = TestRng::from_name(&format!("quoted_strings_round_trip::{seed}"));
+        // Row 0 is never null: an all-null column would read back as Int.
+        let column = |rng: &mut TestRng| -> Vec<Option<String>> {
+            (0..n_rows)
+                .map(|row| {
+                    (row == 0 || rng.below(8) > 0)
+                        .then(|| (0..rng.below(5)).map(|_| pick(rng, PIECES)).collect())
+                })
+                .collect()
+        };
+        let (s, t) = (column(&mut rng), column(&mut rng));
+        let rel = RelationBuilder::new()
+            .column_str_opt("s", s)
+            .column_str_opt("t, \"u\"", t)
+            .null_policy(NullPolicy::Last)
+            .build()
+            .unwrap();
+        let mut buf = Vec::new();
+        write_csv(&rel, &mut buf).unwrap();
+        let opts = CsvOptions::with_header().null_policy(NullPolicy::Last);
+        let back = read_csv_opts(&buf[..], opts).unwrap();
+        prop_assert_eq!(back, rel);
     }
 }
