@@ -204,6 +204,9 @@ proptest! {
 /// restores the full answer.
 #[test]
 fn zero_deadline_pass_fails_and_recovers() {
+    // Armed plans are process-global: hold an empty one so no other test's
+    // plan is armed while this unarmed test runs.
+    let _no_faults = faultkit::arm(faultkit::FaultPlan::new());
     let base = random_relation(40, 4, 3, 7);
     let server = Server::new(ServeConfig {
         discovery: DiscoveryConfig::default()
@@ -233,6 +236,8 @@ fn zero_deadline_pass_fails_and_recovers() {
 /// a deadline `cancel` token bounds `Fastod::discover`.
 #[test]
 fn one_shot_ignores_pass_deadline() {
+    // As above: keep other tests' armed plans out of this unarmed test.
+    let _no_faults = faultkit::arm(faultkit::FaultPlan::new());
     let rel = random_relation(30, 3, 3, 9);
     let cfg = DiscoveryConfig::default()
         .with_pass_deadline(std::time::Duration::ZERO)
