@@ -154,7 +154,7 @@ impl Tane {
             let next: Level = if reached_cap {
                 HashMap::new()
             } else {
-                self.next_level(&current, &mut scratch)?
+                self.next_level(&current, enc, &mut scratch)?
             };
             lstats.time = level_start.elapsed();
             result.stats.levels.push(lstats);
@@ -166,7 +166,12 @@ impl Tane {
         Ok(result)
     }
 
-    fn next_level(&self, level: &Level, scratch: &mut ProductScratch) -> Result<Level, PassError> {
+    fn next_level(
+        &self,
+        level: &Level,
+        enc: &EncodedRelation,
+        scratch: &mut ProductScratch,
+    ) -> Result<Level, PassError> {
         let mut blocks: HashMap<u64, Vec<AttrSet>> = HashMap::new();
         for &bits in level.keys() {
             let set = AttrSet::from_bits(bits);
@@ -183,9 +188,21 @@ impl Tane {
                     if !x.parents().all(|(_, sub)| level.contains_key(&sub.bits())) {
                         continue;
                     }
-                    let partition = level[&members[i].bits()]
-                        .partition
-                        .product(&level[&members[j].bits()].partition, scratch);
+                    // Refine the parent covering fewer rows by the other
+                    // parent's extra attribute (X = Y∪{b} ∪ {c}).
+                    let (pb, pc) = (
+                        &level[&members[i].bits()].partition,
+                        &level[&members[j].bits()].partition,
+                    );
+                    let (parent, extra) = if pc.covered_rows() < pb.covered_rows() {
+                        (pc, members[i].difference(members[j]))
+                    } else {
+                        (pb, members[j].difference(members[i]))
+                    };
+                    let a = extra
+                        .min_attr()
+                        .expect("joined sets differ in one attribute");
+                    let partition = parent.refine(enc.codes(a), enc.cardinality(a), scratch);
                     next.insert(
                         x.bits(),
                         Node {

@@ -1,11 +1,11 @@
 //! Hot-path micro-benchmarks for the flat CSR partition layout: partition
-//! products, the sort-then-sweep swap check, the chunked constancy sweep,
+//! refinement, the sort-then-sweep swap check, the chunked constancy sweep,
 //! and the CSR append path. These are the operations the layout change was
 //! made for — run them before and after touching `crates/partition` to catch
 //! representation regressions without a full `exp1` sweep.
 //!
-//! The benches also pin the **scratch-reuse** contract of the product in
-//! steady state: after a warm-up product, repeated products through the
+//! The benches also pin the **scratch-reuse** contract of the refinement in
+//! steady state: after a warm-up refinement, repeated refinements through the
 //! same [`ProductScratch`] must not grow its arena
 //! ([`ProductScratch::arena_bytes`] stays constant — the assertion below
 //! fails the bench run if reuse breaks and buffers start reallocating).
@@ -25,20 +25,20 @@ use fastod_partition::{
 fn bench_partition_hot(c: &mut Criterion) {
     let enc = flight_like(20_000, 10, 0xC5A0).encode();
     let p_carrier = StrippedPartition::from_codes(enc.codes(5), enc.cardinality(5));
-    let p_orig = StrippedPartition::from_codes(enc.codes(7), enc.cardinality(7));
+    let (orig, orig_card) = (enc.codes(7), enc.cardinality(7));
 
     let mut group = c.benchmark_group("partition_hot");
     group.sample_size(30);
 
-    group.bench_function("csr_product_20k", |b| {
+    group.bench_function("csr_refine_20k", |b| {
         let mut scratch = ProductScratch::new();
         // Warm the arena, then assert steady state: the scratch buffers must
-        // not grow (or be reallocated) across repeated products.
-        let _ = p_carrier.product(&p_orig, &mut scratch);
+        // not grow (or be reallocated) across repeated refinements.
+        let _ = p_carrier.refine(orig, orig_card, &mut scratch);
         let arena_after_warmup = scratch.arena_bytes();
         assert!(arena_after_warmup > 0);
         b.iter(|| {
-            let p = black_box(&p_carrier).product(black_box(&p_orig), &mut scratch);
+            let p = black_box(&p_carrier).refine(black_box(orig), orig_card, &mut scratch);
             assert_eq!(
                 scratch.arena_bytes(),
                 arena_after_warmup,
@@ -72,14 +72,14 @@ fn bench_partition_hot(c: &mut Criterion) {
     // telemetry nobody asked for.
     let obs = Obs::disabled();
     assert!(!obs.is_enabled());
-    group.bench_function("csr_product_20k_noop_obs", |b| {
+    group.bench_function("csr_refine_20k_noop_obs", |b| {
         let mut scratch = ProductScratch::new();
-        let _ = p_carrier.product(&p_orig, &mut scratch);
+        let _ = p_carrier.refine(orig, orig_card, &mut scratch);
         let counter = obs.counter("partition.products");
         b.iter(|| {
-            let _span = obs.span("product");
+            let _span = obs.span("refine");
             counter.incr();
-            black_box(&p_carrier).product(black_box(&p_orig), &mut scratch)
+            black_box(&p_carrier).refine(black_box(orig), orig_card, &mut scratch)
         })
     });
     group.bench_function("swap_sweep_20k_noop_obs", |b| {

@@ -1,4 +1,4 @@
-//! Micro-benchmarks for the partition substrate (§4.6): products, constancy
+//! Micro-benchmarks for the partition substrate (§4.6): refinement, constancy
 //! scans, τ-based swap checks, and the error-rate shortcut. These are the
 //! per-node costs behind every figure.
 
@@ -12,7 +12,6 @@ use fastod_partition::{
 fn bench_partitions(c: &mut Criterion) {
     let enc = flight_like(10_000, 10, 0xBE7C4).encode();
     let p_carrier = StrippedPartition::from_codes(enc.codes(5), enc.cardinality(5));
-    let p_orig = StrippedPartition::from_codes(enc.codes(7), enc.cardinality(7));
     let tau_day = SortedColumn::build(enc.codes(2), enc.cardinality(2));
 
     let mut group = c.benchmark_group("partition");
@@ -22,9 +21,11 @@ fn bench_partitions(c: &mut Criterion) {
         b.iter(|| StrippedPartition::from_codes(black_box(enc.codes(5)), enc.cardinality(5)))
     });
 
-    group.bench_function("product_10k", |b| {
+    group.bench_function("refine_10k", |b| {
         let mut scratch = ProductScratch::new();
-        b.iter(|| black_box(&p_carrier).product(black_box(&p_orig), &mut scratch))
+        b.iter(|| {
+            black_box(&p_carrier).refine(black_box(enc.codes(7)), enc.cardinality(7), &mut scratch)
+        })
     });
 
     group.bench_function("constancy_scan_10k", |b| {
@@ -32,7 +33,7 @@ fn bench_partitions(c: &mut Criterion) {
     });
 
     group.bench_function("error_rate_check", |b| {
-        let node = p_carrier.product_simple(&p_orig);
+        let node = p_carrier.refine(enc.codes(7), enc.cardinality(7), &mut ProductScratch::new());
         b.iter(|| black_box(&p_carrier).error() == black_box(&node).error())
     });
 

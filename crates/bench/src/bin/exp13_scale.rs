@@ -1,5 +1,5 @@
 //! **Exp-13: the 100M-row scale path — single-pass ingest, bit-packed
-//! columns, sharded level-1 build.**
+//! columns, level-1 build.**
 //!
 //! Generates a synthetic warehouse-shaped CSV (a sequence key, two
 //! categoricals at 8/16 bits, a monotone plateau, a low-cardinality float
@@ -11,9 +11,11 @@
 //!   the ingest's estimated peak bytes (`relation.peak_bytes` gauge);
 //! * encoded-relation memory: bit-packed vs the `4 · rows · attrs` a
 //!   `Vec<u32>` representation costs (the acceptance bar is ≥ 2x);
-//! * level-1 partition build: sequential `build_level1` vs the row-sharded
-//!   `build_level1_parallel` at each `FASTOD_THREADS` count, with the CSR
-//!   buffers asserted **byte-identical** at every thread count.
+//! * level-1 partition build: sequential `build_level1` vs
+//!   `build_level1_per_attr` (one whole-column counting sort per attribute,
+//!   attributes spread across the executor) at each `FASTOD_THREADS`
+//!   count, with the CSR buffers asserted **byte-identical** at every
+//!   thread count.
 //!
 //! At smoke/default scale the file is also read as a decoded `Relation`
 //! and re-encoded with `Relation::encode`; its codes, cardinalities and
@@ -24,9 +26,10 @@
 //! path removes.
 //!
 //! Gate rows for the weekly perf job (`results/exp13_scale.json`):
-//! `scale_stream_ingest_ms`, `scale_level1_seq_ms`, `scale_level1_t4_ms`.
+//! `scale_stream_ingest_ms`, `scale_level1_seq_ms`, `scale_level1_per_attr_ms`
+//! (the per-attribute build at the sweep's largest thread count).
 
-use fastod::snapshot::{build_level1, build_level1_parallel};
+use fastod::snapshot::{build_level1, build_level1_per_attr};
 use fastod::{CancelToken, DiscoveryConfig, Executor, Fastod};
 use fastod_bench::{obs_from_env, table::Table, thread_sweep_from_env, write_csv, Scale};
 use fastod_relation::csv::{parse_csv, read_csv_file_opts, CsvOptions};
@@ -153,16 +156,26 @@ fn main() {
         );
     }
 
-    // --- Level-1 build: sharded at each thread count, then sequential. ---
+    // --- Level-1 build: per attribute at each thread count, then
+    // sequential. ---
+    // Both builds read plain `&[u32]` slices: materialize the unpacked
+    // views first so every timing is the honest Vec<u32> build, not
+    // "build + unpack" for whichever run comes first. One untimed build
+    // does the same for the allocator: otherwise the first timed build
+    // alone pays the first touch of its output pages.
+    for a in 0..enc.n_attrs() {
+        let _ = enc.codes(a);
+    }
+    drop(build_level1(&enc));
     let mut table = Table::new(&["build", "threads", "time", "vs sequential"]);
     let cancel = CancelToken::never();
-    let mut sharded_ms: Vec<(usize, f64)> = Vec::new();
-    let mut sharded_csr: Option<Vec<(Vec<u32>, Vec<u32>)>> = None;
+    let mut per_attr_ms: Vec<(usize, f64)> = Vec::new();
+    let mut per_attr_csr: Option<Vec<(Vec<u32>, Vec<u32>)>> = None;
     for &threads in &threads_sweep {
         let exec = Executor::new(threads);
         let t = Instant::now();
-        let level = build_level1_parallel(&enc, &exec, &cancel).expect("sharded level-1");
-        sharded_ms.push((threads, ms(t)));
+        let level = build_level1_per_attr(&enc, &exec, &cancel).expect("per-attribute level-1");
+        per_attr_ms.push((threads, ms(t)));
         let mut keys: Vec<u64> = level.keys().copied().collect();
         keys.sort_unstable();
         let csr: Vec<(Vec<u32>, Vec<u32>)> = keys
@@ -172,26 +185,24 @@ fn main() {
                 (r.to_vec(), o.to_vec())
             })
             .collect();
-        match &sharded_csr {
+        match &per_attr_csr {
             Some(reference) => assert_eq!(reference, &csr, "level-1 CSR diverged at t={threads}"),
-            None => sharded_csr = Some(csr),
+            None => per_attr_csr = Some(csr),
         }
-    }
-    // Sequential baseline reads plain `&[u32]` slices: materialize the
-    // unpacked views first so the timing is the honest Vec<u32> baseline,
-    // not "sequential + unpack".
-    for a in 0..enc.n_attrs() {
-        let _ = enc.codes(a);
     }
     let t = Instant::now();
     let seq_level = build_level1(&enc);
     let seq_ms = ms(t);
-    let reference = sharded_csr.expect("at least one sharded run");
+    let reference = per_attr_csr.expect("at least one per-attribute run");
     let mut keys: Vec<u64> = seq_level.keys().copied().collect();
     keys.sort_unstable();
     for (k, expect) in keys.iter().zip(&reference) {
         let (r, o) = seq_level[k].partition.raw_csr();
-        assert_eq!((r, o), (expect.0.as_slice(), expect.1.as_slice()), "sharded CSR != sequential");
+        assert_eq!(
+            (r, o),
+            (expect.0.as_slice(), expect.1.as_slice()),
+            "per-attribute CSR != sequential"
+        );
     }
     table.row(vec!["sequential".into(), "1".into(), format!("{seq_ms:.0} ms"), "1.00x".into()]);
     let mut csv_rows = vec![vec![
@@ -200,31 +211,36 @@ fn main() {
         "1".into(),
         format!("{seq_ms:.3}"),
     ]];
-    let mut t4_ms = None;
-    for (threads, sh_ms) in &sharded_ms {
+    let mut last_ms = None;
+    for (threads, pa_ms) in &per_attr_ms {
         table.row(vec![
-            "sharded".into(),
+            "per-attribute".into(),
             threads.to_string(),
-            format!("{sh_ms:.0} ms"),
-            format!("{:.2}x", seq_ms / sh_ms),
+            format!("{pa_ms:.0} ms"),
+            format!("{:.2}x", seq_ms / pa_ms),
         ]);
         csv_rows.push(vec![
             rows.to_string(),
-            "sharded".into(),
+            "per-attribute".into(),
             threads.to_string(),
-            format!("{sh_ms:.3}"),
+            format!("{pa_ms:.3}"),
         ]);
         if *threads == *threads_sweep.last().unwrap() {
-            t4_ms = Some(*sh_ms);
+            last_ms = Some(*pa_ms);
         }
     }
     table.print();
-    println!("\nlevel-1 CSR byte-identical across sequential and t={threads_sweep:?} sharded builds ✓");
+    println!(
+        "\nlevel-1 CSR byte-identical across sequential and t={threads_sweep:?} per-attribute builds ✓"
+    );
 
     let mut gauges = vec![
         ("scale_stream_ingest_ms".to_string(), stream_ms),
         ("scale_level1_seq_ms".to_string(), seq_ms),
-        ("scale_level1_t4_ms".to_string(), t4_ms.unwrap_or(seq_ms)),
+        (
+            "scale_level1_per_attr_ms".to_string(),
+            last_ms.unwrap_or(seq_ms),
+        ),
     ];
     if let Some(one_ms) = oneshot_ms {
         gauges.push(("scale_oneshot_ingest_ms".to_string(), one_ms));

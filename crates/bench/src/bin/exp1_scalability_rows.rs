@@ -12,6 +12,10 @@
 //! cover is identical at every thread count (asserted here, pinned by
 //! `tests/parallel_equivalence.rs`).
 //!
+//! Gate rows (`results/exp1_validation.json`): `<dataset>` is the t=1
+//! validation-phase ms and `<dataset>_generate_ms` the t=1
+//! partition-generation ms, both at the dataset's largest row count.
+//!
 //! Expected shape (paper): all three scale linearly in |r|; TANE < FASTOD;
 //! ORDER is slowest on flight/dbtesma but *fast-and-empty* on ncvoter
 //! (its swap pruning kills every candidate at level 2).
@@ -60,9 +64,10 @@ fn main() {
         "TANE #FDs".to_string(),
     ]);
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
-    // Single-thread validation-phase ms at each dataset's largest row count,
-    // for the perf-smoke regression gate (results/exp1_validation.json).
-    let mut val_json: Vec<(String, f64)> = Vec::new();
+    // Single-thread validation-phase (`<dataset>`) and partition-generation
+    // (`<dataset>_generate_ms`) ms at each dataset's largest row count, for
+    // the perf-smoke regression gate (results/exp1_validation.json).
+    let mut gate_json: Vec<(String, f64)> = Vec::new();
     for ((name, gen), &max) in datasets.iter().zip(&max_rows) {
         let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
         let mut table = Table::new(&header_refs);
@@ -84,12 +89,14 @@ fn main() {
                 &obs,
             );
             if pct == 100 {
-                if let Some(val) = runs
-                    .iter()
-                    .find(|r| r.threads == 1)
-                    .and_then(|r| r.val_time)
-                {
-                    val_json.push((name.to_string(), val.as_secs_f64() * 1_000.0));
+                if let Some(run) = runs.iter().find(|r| r.threads == 1) {
+                    if let Some(val) = run.val_time {
+                        gate_json.push((name.to_string(), val.as_secs_f64() * 1_000.0));
+                    }
+                    if let Some(gen) = run.gen_time {
+                        let ms = gen.as_secs_f64() * 1_000.0;
+                        gate_json.push((format!("{name}_generate_ms"), ms));
+                    }
                 }
             }
             let fast_summary = runs
@@ -143,7 +150,7 @@ fn main() {
     obs.flush();
     fastod_bench::write_results_file(
         "exp1_validation.json",
-        &fastod_bench::metrics_json(&val_json, &obs),
+        &fastod_bench::metrics_json(&gate_json, &obs),
     );
     println!(
         "(CSV written to results/exp1_scalability_rows.csv; metrics snapshot JSON to \

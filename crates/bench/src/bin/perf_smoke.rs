@@ -5,8 +5,8 @@
 //! regressed by more than the tolerance (default 25%, override with
 //! `PERF_SMOKE_TOLERANCE`, a fraction). Gated metrics:
 //!
-//! * the single-thread exp1 validation-phase times per dataset
-//!   (`results/exp1_validation.json`);
+//! * the single-thread exp1 validation-phase and partition-generation
+//!   times per dataset (`results/exp1_validation.json`);
 //! * the serving layer's delete-wave maintenance time and p99 read latency
 //!   during maintenance (`results/exp10_serving.json`).
 //!

@@ -172,6 +172,9 @@ pub struct ThreadRun {
     pub time_str: String,
     /// Validation-phase wall clock, when the run completed.
     pub val_time: Option<Duration>,
+    /// Partition-generation (`generate_level`) wall clock, when the run
+    /// completed.
+    pub gen_time: Option<Duration>,
     /// This run's own `#ODs (#FDs + #OCDs)` summary, `—` on timeout.
     pub summary: String,
 }
@@ -226,6 +229,7 @@ pub fn fastod_thread_sweep_obs(
             threads,
             time_str: outcome.time_str(),
             val_time: outcome.value().map(|r| r.stats.validation_time()),
+            gen_time: outcome.value().map(|r| r.stats.generation_time()),
             summary,
         });
     }

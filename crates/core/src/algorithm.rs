@@ -2,7 +2,7 @@
 //! driver also used by the approximate variant.
 
 use crate::config::DiscoveryConfig;
-use crate::lattice::{build_level0, build_level1_parallel, calculate_next_level_parallel, Level};
+use crate::lattice::{build_level0, build_level1_per_attr, calculate_next_level_parallel, Level};
 use crate::parallel::Executor;
 use crate::result::DiscoveryResult;
 use crate::snapshot::{compute_candidate_sets_parallel, prune_level, validate_level};
@@ -23,7 +23,7 @@ pub(crate) struct DriverOptions {
     /// line 14). Exact discovery enables it; the approximate variant
     /// disables it because Strengthen does not hold under error budgets.
     pub lemma5_removals: bool,
-    /// Worker threads for validation and partition products (see
+    /// Worker threads for validation and partition refinement (see
     /// [`crate::DiscoveryConfig::threads`]).
     pub threads: usize,
     /// Observability recorder threaded into the executor and phase spans.
@@ -96,13 +96,20 @@ pub(crate) fn run_lattice<J: OdJudge>(
     // Spans shadow the stats clocks exactly — guard opened right after the
     // Instant, dropped right before `.elapsed()` — so a trace's span tree
     // and DiscoveryStats agree to within the guard's own overhead.
-    let run_span = opts.obs.span_with("discover", &[("n_attrs", enc.n_attrs() as u64)]);
+    let run_span = opts.obs.span_with(
+        "discover",
+        &[
+            ("n_attrs", enc.n_attrs() as u64),
+            ("rows", enc.n_rows() as u64),
+            ("threads", opts.threads as u64),
+        ],
+    );
     let n_attrs = enc.n_attrs();
     let mut m = OdSet::new();
     let mut stats = DiscoveryStats::default();
     let exec = Executor::with_obs(opts.threads, opts.obs.clone());
-    // One product arena per worker, reused across every lattice level.
-    let mut product_pool: Vec<ProductScratch> = Vec::new();
+    // One refinement arena per worker, reused across every lattice level.
+    let mut refine_pool: Vec<ProductScratch> = Vec::new();
 
     if n_attrs == 0 {
         drop(run_span);
@@ -113,9 +120,12 @@ pub(crate) fn run_lattice<J: OdJudge>(
     // Levels l-2, l-1 and l (Algorithm 1 lines 1–6).
     let mut prev_prev: Level = Level::new();
     let mut prev: Level = build_level0(enc.n_rows(), n_attrs);
-    // Row-sharded across the executor; byte-identical to the sequential
-    // build at every thread count (see `build_level1_sharded`).
-    let mut current: Level = build_level1_parallel(enc, &exec, &opts.cancel)?;
+    let level1_span = opts.obs.span_with(
+        "level1",
+        &[("rows", enc.n_rows() as u64), ("attrs", n_attrs as u64)],
+    );
+    let mut current: Level = build_level1_per_attr(enc, &exec, &opts.cancel)?;
+    drop(level1_span);
     let mut l = 1usize;
 
     while !current.is_empty() {
@@ -154,13 +164,7 @@ pub(crate) fn run_lattice<J: OdJudge>(
         let next = if reached_cap {
             Level::new()
         } else {
-            calculate_next_level_parallel(
-                &current,
-                n_attrs,
-                &exec,
-                &mut product_pool,
-                &opts.cancel,
-            )?
+            calculate_next_level_parallel(&current, enc, &exec, &mut refine_pool, &opts.cancel)?
         };
         drop(generate_span);
         lstats.generate_time = generate_start.elapsed();

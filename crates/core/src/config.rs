@@ -36,7 +36,7 @@ pub struct DiscoveryConfig {
     pub cancel: CancelToken,
     /// FD validation strategy.
     pub fd_check: FdCheckMode,
-    /// Worker threads for the validation and partition-product hot paths.
+    /// Worker threads for the validation and partition-refinement hot paths.
     /// `1` (the default) runs everything inline on the calling thread; `0`
     /// selects [`std::thread::available_parallelism`]. The discovered cover
     /// is **identical at every thread count** — verdicts are merged in

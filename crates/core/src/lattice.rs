@@ -4,7 +4,7 @@ use crate::pairset::PairSet;
 use crate::parallel::Executor;
 use crate::{CancelToken, PassError};
 use fastod_partition::{ProductScratch, StrippedPartition};
-use fastod_relation::AttrSet;
+use fastod_relation::{AttrSet, EncodedRelation};
 use std::collections::HashMap;
 
 /// A lattice node: the attribute set is the map key; the node carries its
@@ -40,31 +40,61 @@ pub fn sorted_keys(level: &Level) -> Vec<u64> {
     keys
 }
 
-/// `calculateNextLevel(L_l)` — Algorithm 2, with partitions computed as
-/// products of the two generating parents.
+/// `Π*_X` for one join `(X, Y∪{b}, Y∪{c})` of [`candidate_joins`]: the
+/// parent with fewer covered rows is refined by the other parent's extra
+/// attribute column (`X = (Y∪{b}) ∪ {c}`), so the cost is one pass over the
+/// smaller parent. On a tie `Y∪{b}` is refined by `codes(c)`.
+///
+/// `enc` must hold a code for every row the parents cover; rows outside
+/// them (singletons, or tombstones of a masked lattice) are never read.
+pub fn join_partition(
+    level: &Level,
+    enc: &EncodedRelation,
+    yb: AttrSet,
+    yc: AttrSet,
+    scratch: &mut ProductScratch,
+) -> StrippedPartition {
+    let (pb, pc) = (&level[&yb.bits()].partition, &level[&yc.bits()].partition);
+    let extra = |from: AttrSet, other: AttrSet| {
+        from.difference(other)
+            .min_attr()
+            .expect("joined parents differ in one attribute")
+    };
+    if pc.covered_rows() < pb.covered_rows() {
+        let b = extra(yb, yc);
+        pc.refine(enc.codes(b), enc.cardinality(b), scratch)
+    } else {
+        let c = extra(yc, yb);
+        pb.refine(enc.codes(c), enc.cardinality(c), scratch)
+    }
+}
+
+/// `calculateNextLevel(L_l)` — Algorithm 2, with each partition refined
+/// from one generating parent (see [`join_partition`]).
 pub fn calculate_next_level(
     level: &Level,
-    n_attrs: usize,
+    enc: &EncodedRelation,
     scratch: &mut ProductScratch,
     cancel: &CancelToken,
 ) -> Result<Level, PassError> {
-    generate_next_level(level, n_attrs, cancel, |_, pi, pj, lvl| {
-        lvl[&pi.bits()].partition.product(&lvl[&pj.bits()].partition, scratch)
+    generate_next_level(level, enc.n_attrs(), cancel, |_, pi, pj, lvl| {
+        join_partition(lvl, enc, pi, pj, scratch)
     })
 }
 
-/// [`calculate_next_level`] with the partition products sharded across
-/// `exec`'s worker threads.
+/// [`calculate_next_level`] with the refinements sharded across `exec`'s
+/// worker threads.
 ///
 /// `pool` holds one [`ProductScratch`] arena per worker and persists across
 /// calls — the lattice driver passes the same pool for every level, so the
-/// row-indexed probe/stamp buffers grown at level 2 are reused all the way
-/// to the deepest level instead of being reallocated per node. The produced
-/// level is identical to the sequential one at any thread count (products
-/// are pure; the join list is deterministic).
+/// code-indexed count/cursor arenas and CSR output buffers grown at one
+/// level are reused all the way to the deepest level instead of being
+/// reallocated per node. The produced level is identical to the sequential
+/// one at any thread count (refinement is pure; the join list is
+/// deterministic).
 pub fn calculate_next_level_parallel(
     level: &Level,
-    n_attrs: usize,
+    enc: &EncodedRelation,
     exec: &Executor,
     pool: &mut Vec<ProductScratch>,
     cancel: &CancelToken,
@@ -77,13 +107,11 @@ pub fn calculate_next_level_parallel(
         ProductScratch::new,
         &joins,
         cancel,
-        |scratch, _i, &(_x, pi, pj)| {
-            level[&pi.bits()].partition.product(&level[&pj.bits()].partition, scratch)
-        },
+        |scratch, _i, &(_x, pi, pj)| join_partition(level, enc, pi, pj, scratch),
     )?;
     let mut next = Level::with_capacity(joins.len());
     for ((x, _, _), partition) in joins.into_iter().zip(partitions) {
-        next.insert(x.bits(), Node::new(partition, n_attrs));
+        next.insert(x.bits(), Node::new(partition, enc.n_attrs()));
     }
     Ok(next)
 }
@@ -124,9 +152,9 @@ pub fn candidate_joins(level: &Level) -> Vec<(AttrSet, AttrSet, AttrSet)> {
 ///
 /// The join structure comes from [`candidate_joins`]; `make_partition(x,
 /// parent_i, parent_j, level)` supplies `Π*_X`: the one-shot algorithm
-/// computes the product `Π_{YB} · Π_{YC}`, while the incremental engine may
-/// instead reuse a retained partition from a previous pass when the batch
-/// provably left it unchanged.
+/// refines one parent by the other's extra attribute, while the incremental
+/// engine may instead reuse a retained partition from a previous pass when
+/// the batch provably left it unchanged.
 pub fn generate_next_level<F>(
     level: &Level,
     n_attrs: usize,
@@ -149,7 +177,7 @@ where
 }
 
 /// Builds level 1: one node per attribute with `Π*_{{A}}` from its codes.
-pub fn build_level1(enc: &fastod_relation::EncodedRelation) -> Level {
+pub fn build_level1(enc: &EncodedRelation) -> Level {
     let n_attrs = enc.n_attrs();
     let mut level = Level::with_capacity(n_attrs);
     for a in 0..n_attrs {
@@ -164,253 +192,29 @@ pub fn build_level1(enc: &fastod_relation::EncodedRelation) -> Level {
     level
 }
 
-/// Minimum rows per shard for [`build_level1_parallel`]: below this,
-/// spawning extra shards costs more in merge bookkeeping than the counting
-/// sort saves.
-const MIN_SHARD_ROWS: usize = 1 << 16;
-
-/// [`build_level1`] with each attribute's counting sort row-sharded across
-/// `exec`'s workers. The shard size is `n_rows / (threads · 4)` floored at
-/// `MIN_SHARD_ROWS` (64 Ki); the result is **byte-identical** to the sequential
-/// build at every thread count (see [`build_level1_sharded`]).
-pub fn build_level1_parallel(
-    enc: &fastod_relation::EncodedRelation,
+/// [`build_level1`] with the attributes spread across `exec`'s workers:
+/// one `from_codes` counting sort per whole column, so every partition is
+/// the one `build_level1` builds, at any thread count.
+pub fn build_level1_per_attr(
+    enc: &EncodedRelation,
     exec: &Executor,
     cancel: &CancelToken,
-) -> Result<Level, PassError> {
-    let base = enc
-        .n_rows()
-        .div_ceil(exec.threads().max(1) * 4)
-        .max(MIN_SHARD_ROWS);
-    // Per attribute, never shard finer than the cardinality: a shard at
-    // least as long as the cardinality always takes the O(shard + card)
-    // counting path with ≤ 8 scratch bytes per shard row, while a finer
-    // shard of a key-like column would fall into the O(len · log len)
-    // pair sort — asymptotically worse than the sequential counting sort
-    // it is supposed to beat. (Dense ranks guarantee cardinality ≤ n_rows,
-    // so key-like columns simply degrade to one whole-column shard and the
-    // parallelism comes from the other attributes.)
-    build_level1_with(enc, exec, cancel, |card| base.max(card as usize))
-}
-
-/// [`build_level1_parallel`] with an explicit shard size (rows per shard;
-/// the determinism tests shrink it to force multi-shard merges on small
-/// tables).
-///
-/// # Determinism
-///
-/// Each worker partitions one contiguous row range `[lo, hi)` of one
-/// attribute, emitting its present codes in ascending order with the rows
-/// of each code ascending. The merge then mirrors
-/// [`StrippedPartition::from_codes`] exactly: global per-code counts are
-/// summed, classes are the codes with count ≥ 2 **in ascending code
-/// order**, and each class's rows are copied shard-by-shard in shard-index
-/// order. Since shard `s` covers strictly smaller row ids than shard
-/// `s + 1`, rows end up ascending within every class — precisely the order
-/// the sequential scatter produces — so the CSR bytes cannot depend on the
-/// thread count or shard boundaries.
-pub fn build_level1_sharded(
-    enc: &fastod_relation::EncodedRelation,
-    exec: &Executor,
-    cancel: &CancelToken,
-    shard_rows: usize,
-) -> Result<Level, PassError> {
-    build_level1_with(enc, exec, cancel, |_| shard_rows)
-}
-
-/// Shared body of [`build_level1_parallel`] / [`build_level1_sharded`]:
-/// `shard_for(cardinality)` picks the shard size per attribute.
-fn build_level1_with(
-    enc: &fastod_relation::EncodedRelation,
-    exec: &Executor,
-    cancel: &CancelToken,
-    shard_for: impl Fn(u32) -> usize,
 ) -> Result<Level, PassError> {
     cancel.check()?;
     let n_attrs = enc.n_attrs();
-    let n_rows = enc.n_rows();
-    // Attribute-major shard list: shards of one attribute stay contiguous
-    // so the merge below can walk the results in a single pass.
-    let mut items: Vec<(usize, usize, usize)> = Vec::new();
-    for a in 0..n_attrs {
-        let shard_rows = shard_for(enc.cardinality(a)).max(1);
-        let mut lo = 0;
-        while lo < n_rows {
-            let hi = (lo + shard_rows).min(n_rows);
-            items.push((a, lo, hi));
-            lo = hi;
-        }
-    }
-    exec.obs().add("partition.level1_shards", items.len() as u64);
-    let mut pool: Vec<Vec<u32>> = Vec::new();
-    let shards = exec.try_map_with(
-        &mut pool,
-        Vec::new,
-        &items,
-        cancel,
-        |buf, _i, &(a, lo, hi)| {
-            let codes = enc.codes_range(a, lo..hi, buf);
-            if lo == 0 && hi == n_rows {
-                // The shard covers the whole column (key-like cardinality or
-                // a tiny relation): build the final partition directly — a
-                // `Level1Shard` intermediate would triple the memory traffic
-                // only for the merge to replay `from_codes` anyway.
-                ShardOut::Done(StrippedPartition::from_codes(codes, enc.cardinality(a)))
-            } else {
-                ShardOut::Partial(shard_level1(codes, enc.cardinality(a), lo as u32))
-            }
-        },
-    )?;
-    // Merge phase: one independent merge per attribute, also fanned out
-    // across the workers (shards of one attribute are contiguous in
-    // `items`/`shards` by construction).
-    let mut attr_ranges: Vec<(usize, usize, usize)> = Vec::with_capacity(n_attrs);
-    let mut pos = 0;
-    for a in 0..n_attrs {
-        let start = pos;
-        while pos < items.len() && items[pos].0 == a {
-            pos += 1;
-        }
-        attr_ranges.push((a, start, pos));
-    }
-    let mut merge_pool: Vec<()> = Vec::new();
+    let attrs: Vec<usize> = (0..n_attrs).collect();
     let partitions = exec.try_map_with(
-        &mut merge_pool,
+        &mut Vec::new(),
         || (),
-        &attr_ranges,
+        &attrs,
         cancel,
-        |(), _i, &(a, start, end)| match &shards[start..end] {
-            [ShardOut::Done(partition)] => partition.clone(),
-            range => merge_level1_shards(n_rows, enc.cardinality(a), range),
-        },
+        |(), _i, &a| StrippedPartition::from_codes(enc.codes(a), enc.cardinality(a)),
     )?;
     let mut level = Level::with_capacity(n_attrs);
-    for ((a, _, _), partition) in attr_ranges.into_iter().zip(partitions) {
+    for (a, partition) in attrs.into_iter().zip(partitions) {
         level.insert(AttrSet::singleton(a).bits(), Node::new(partition, n_attrs));
     }
     Ok(level)
-}
-
-/// One worker's output in the shard phase: either the finished partition
-/// (the shard covered the whole column) or a partial to merge.
-enum ShardOut {
-    Done(StrippedPartition),
-    Partial(Level1Shard),
-}
-
-/// One worker's partial counting sort over a contiguous row range: the
-/// codes present in the range (ascending), their occurrence counts, and the
-/// range's rows grouped by code (ascending within each group).
-struct Level1Shard {
-    present: Vec<u32>,
-    counts: Vec<u32>,
-    rows: Vec<u32>,
-}
-
-fn shard_level1(codes: &[u32], cardinality: u32, base_row: u32) -> Level1Shard {
-    let card = cardinality as usize;
-    let mut present = Vec::new();
-    let mut pcounts = Vec::new();
-    let mut rows = vec![0u32; codes.len()];
-    if card <= codes.len() {
-        // Counting sort: the card-sized scratch costs at most
-        // 8 bytes/row here, and only when the cardinality is small relative
-        // to the shard.
-        let mut counts = vec![0u32; card];
-        for &c in codes {
-            counts[c as usize] += 1;
-        }
-        let mut cursor = vec![0u32; card];
-        let mut total = 0u32;
-        for (code, &count) in counts.iter().enumerate() {
-            if count > 0 {
-                cursor[code] = total;
-                total += count;
-                present.push(code as u32);
-                pcounts.push(count);
-            }
-        }
-        for (i, &c) in codes.iter().enumerate() {
-            let cur = &mut cursor[c as usize];
-            rows[*cur as usize] = base_row + i as u32;
-            *cur += 1;
-        }
-    } else {
-        // High-cardinality (key-like) column: a card-sized array per shard
-        // would dwarf the shard itself — sort (code, row) pairs instead.
-        let mut pairs: Vec<(u32, u32)> = codes
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, base_row + i as u32))
-            .collect();
-        pairs.sort_unstable();
-        let mut run_start = 0;
-        for (i, &(code, row)) in pairs.iter().enumerate() {
-            rows[i] = row;
-            if i + 1 == pairs.len() || pairs[i + 1].0 != code {
-                present.push(code);
-                pcounts.push((i + 1 - run_start) as u32);
-                run_start = i + 1;
-            }
-        }
-    }
-    Level1Shard {
-        present,
-        counts: pcounts,
-        rows,
-    }
-}
-
-/// Merges one attribute's shards into `Π*_{{A}}`, mirroring the sequential
-/// [`StrippedPartition::from_codes`] byte for byte (see
-/// [`build_level1_sharded`]).
-fn merge_level1_shards(
-    n_rows: usize,
-    cardinality: u32,
-    shards: &[ShardOut],
-) -> StrippedPartition {
-    // A `Done` shard covers the whole column, so it is always alone in its
-    // range and short-circuited by the caller before merging.
-    fn partial(s: &ShardOut) -> &Level1Shard {
-        match s {
-            ShardOut::Partial(p) => p,
-            ShardOut::Done(_) => unreachable!("whole-column shard inside a multi-shard merge"),
-        }
-    }
-    let card = cardinality as usize;
-    let mut counts = vec![0u32; card];
-    for shard in shards {
-        let shard = partial(shard);
-        for (&code, &cnt) in shard.present.iter().zip(&shard.counts) {
-            counts[code as usize] += cnt;
-        }
-    }
-    let mut class_offsets = vec![0u32];
-    let mut cursor: Vec<u32> = vec![u32::MAX; card];
-    let mut total = 0u32;
-    for (code, &count) in counts.iter().enumerate() {
-        if count >= 2 {
-            cursor[code] = total;
-            total += count;
-            class_offsets.push(total);
-        }
-    }
-    let mut rows = vec![0u32; total as usize];
-    for shard in shards {
-        let shard = partial(shard);
-        let mut lo = 0usize;
-        for (&code, &cnt) in shard.present.iter().zip(&shard.counts) {
-            let hi = lo + cnt as usize;
-            let cur = cursor[code as usize];
-            if cur != u32::MAX {
-                rows[cur as usize..cur as usize + cnt as usize]
-                    .copy_from_slice(&shard.rows[lo..hi]);
-                cursor[code as usize] = cur + cnt;
-            }
-            lo = hi;
-        }
-    }
-    StrippedPartition::from_raw_csr(n_rows, rows, class_offsets)
 }
 
 /// Builds level 0: the single `{}` node with the unit partition and
@@ -465,7 +269,7 @@ mod tests {
         let enc = enc3();
         let l1 = build_level1(&enc);
         let mut scratch = ProductScratch::new();
-        let l2 = calculate_next_level(&l1, 3, &mut scratch, &CancelToken::never()).unwrap();
+        let l2 = calculate_next_level(&l1, &enc, &mut scratch, &CancelToken::never()).unwrap();
         assert_eq!(l2.len(), 3); // {a,b}, {a,c}, {b,c}
         // Partition of {a,b} refines both.
         let ab = &l2[&AttrSet::from_iter([0, 1]).bits()].partition;
@@ -477,10 +281,10 @@ mod tests {
         let enc = enc3();
         let l1 = build_level1(&enc);
         let mut scratch = ProductScratch::new();
-        let mut l2 = calculate_next_level(&l1, 3, &mut scratch, &CancelToken::never()).unwrap();
+        let mut l2 = calculate_next_level(&l1, &enc, &mut scratch, &CancelToken::never()).unwrap();
         // Remove {b,c}: {a,b,c} then lacks a parent and must not be created.
         l2.remove(&AttrSet::from_iter([1, 2]).bits());
-        let l3 = calculate_next_level(&l2, 3, &mut scratch, &CancelToken::never()).unwrap();
+        let l3 = calculate_next_level(&l2, &enc, &mut scratch, &CancelToken::never()).unwrap();
         assert!(l3.is_empty());
     }
 
@@ -489,11 +293,11 @@ mod tests {
         let enc = enc3();
         let l1 = build_level1(&enc);
         let mut scratch = ProductScratch::new();
-        let l2 = calculate_next_level(&l1, 3, &mut scratch, &CancelToken::never()).unwrap();
-        let l3 = calculate_next_level(&l2, 3, &mut scratch, &CancelToken::never()).unwrap();
+        let l2 = calculate_next_level(&l1, &enc, &mut scratch, &CancelToken::never()).unwrap();
+        let l3 = calculate_next_level(&l2, &enc, &mut scratch, &CancelToken::never()).unwrap();
         assert_eq!(l3.len(), 1);
         assert!(l3.contains_key(&AttrSet::full(3).bits()));
-        let l4 = calculate_next_level(&l3, 3, &mut scratch, &CancelToken::never()).unwrap();
+        let l4 = calculate_next_level(&l3, &enc, &mut scratch, &CancelToken::never()).unwrap();
         assert!(l4.is_empty());
     }
 
@@ -503,7 +307,7 @@ mod tests {
         let l1 = build_level1(&enc);
         let mut scratch = ProductScratch::new();
         let token = CancelToken::with_timeout(std::time::Duration::ZERO);
-        let result = calculate_next_level(&l1, 3, &mut scratch, &token);
+        let result = calculate_next_level(&l1, &enc, &mut scratch, &token);
         assert!(matches!(result, Err(PassError::Cancelled)));
     }
 
@@ -516,54 +320,59 @@ mod tests {
     }
 
     #[test]
-    fn sharded_level1_is_byte_identical_to_sequential() {
-        // Mixed cardinalities: low-card (counting-sort shards), key-like
-        // (pair-sort shards), constant.
-        let n = 50i64;
-        let enc = RelationBuilder::new()
-            .column_i64("low", (0..n).map(|i| i * 7 % 3).collect())
-            .column_i64("key", (0..n).map(|i| (i * 31) % n).collect())
-            .column_i64("konst", vec![9; n as usize])
-            .build()
-            .unwrap()
-            .encode();
-        let seq = build_level1(&enc);
+    fn per_attr_level1_matches_sequential() {
+        let mut packed = enc3();
+        packed.pack();
+        let seq = build_level1(&enc3());
         for threads in [1, 2, 4] {
             let exec = Executor::new(threads);
-            for shard_rows in [1, 3, 64] {
-                let sharded =
-                    build_level1_sharded(&enc, &exec, &CancelToken::never(), shard_rows)
-                        .unwrap();
-                assert_eq!(sharded.len(), seq.len());
-                for (bits, node) in &seq {
-                    let got = &sharded[bits].partition;
-                    assert_eq!(
-                        got.raw_csr(),
-                        node.partition.raw_csr(),
-                        "threads={threads} shard_rows={shard_rows}"
-                    );
-                }
+            let l1 = build_level1_per_attr(&packed, &exec, &CancelToken::never()).unwrap();
+            assert_eq!(l1.len(), seq.len());
+            for (bits, node) in &seq {
+                assert_eq!(
+                    l1[bits].partition.raw_csr(),
+                    node.partition.raw_csr(),
+                    "t={threads}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn sharded_level1_handles_packed_and_empty() {
-        let mut enc = enc3();
-        enc.pack();
-        let seq = build_level1(&enc3());
-        let exec = Executor::new(2);
-        let sharded = build_level1_sharded(&enc, &exec, &CancelToken::never(), 2).unwrap();
-        for (bits, node) in &seq {
-            assert_eq!(sharded[bits].partition.raw_csr(), node.partition.raw_csr());
-        }
-        // Zero-row relation: every attribute gets the empty partition.
         let empty = RelationBuilder::new()
             .column_i64("a", vec![])
             .build()
             .unwrap()
             .encode();
-        let l1 = build_level1_parallel(&empty, &exec, &CancelToken::never()).unwrap();
+        let l1 = build_level1_per_attr(&empty, &Executor::new(2), &CancelToken::never()).unwrap();
         assert!(l1[&AttrSet::singleton(0).bits()].partition.is_superkey());
+        let cancelled = CancelToken::with_timeout(std::time::Duration::ZERO);
+        let result = build_level1_per_attr(&enc3(), &Executor::new(2), &cancelled);
+        assert!(matches!(result, Err(PassError::Cancelled)));
+    }
+
+    #[test]
+    fn join_refines_the_smaller_parent() {
+        // {a,b} from {a} (covers all 4 rows) and {b} (covers 4): tie, so
+        // {a} is refined by b. {a,c} from {a} (4 rows) and the key {c}
+        // (0 rows): {c} is refined by a and nothing is read.
+        let enc = enc3();
+        let l1 = build_level1(&enc);
+        let mut scratch = ProductScratch::new();
+        let (a, b, c) = (
+            AttrSet::singleton(0),
+            AttrSet::singleton(1),
+            AttrSet::singleton(2),
+        );
+        assert!(join_partition(&l1, &enc, a, b, &mut scratch).is_superkey());
+        assert!(join_partition(&l1, &enc, a, c, &mut scratch).is_superkey());
+        let enc2 = RelationBuilder::new()
+            .column_i64("a", vec![0, 0, 0, 1, 1])
+            .column_i64("b", vec![0, 0, 1, 1, 1])
+            .build()
+            .unwrap()
+            .encode();
+        let l1 = build_level1(&enc2);
+        let ab = join_partition(&l1, &enc2, a, b, &mut scratch);
+        let ba = join_partition(&l1, &enc2, b, a, &mut scratch);
+        assert_eq!(ab.normalized(), vec![vec![0, 1], vec![3, 4]]);
+        assert_eq!(ab.raw_csr(), ba.raw_csr());
     }
 }

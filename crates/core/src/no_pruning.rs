@@ -133,7 +133,7 @@ impl NoPruningFastod {
             let next = if reached_cap {
                 Level::new()
             } else {
-                calculate_next_level(&current, n_attrs, &mut scratch, &self.cancel)?
+                calculate_next_level(&current, enc, &mut scratch, &self.cancel)?
             };
             lstats.time = level_start.elapsed();
             result.stats.levels.push(lstats);

@@ -1,4 +1,4 @@
-//! A small scoped-thread executor for the validation and product hot paths.
+//! A small scoped-thread executor for the validation and refinement hot paths.
 //!
 //! The build environment is fully offline (no `rayon`), so data parallelism
 //! is built directly on [`std::thread::scope`]: each call spawns up to
@@ -9,7 +9,7 @@
 //! the merged result vector (and therefore every downstream mutation applied
 //! from it) is independent of thread count and interleaving.
 //!
-//! Worker-local scratch state (partition-product arenas, swap-scan buffers)
+//! Worker-local scratch state (partition-refinement arenas, swap-scan buffers)
 //! lives in a caller-owned pool that persists **across** calls: the lattice
 //! driver keeps one pool for the whole discovery run, so level `l + 1`
 //! reuses the arenas grown during level `l` instead of reallocating per

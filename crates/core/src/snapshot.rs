@@ -23,9 +23,9 @@
 //! test suite and by the incremental engine's oracle tests.
 
 pub use crate::lattice::{
-    build_level0, build_level0_masked, build_level1, build_level1_parallel,
-    build_level1_sharded, calculate_next_level, calculate_next_level_parallel, candidate_joins,
-    generate_next_level, sorted_keys, Level, Node,
+    build_level0, build_level0_masked, build_level1, build_level1_per_attr, calculate_next_level,
+    calculate_next_level_parallel, candidate_joins, generate_next_level, join_partition,
+    sorted_keys, Level, Node,
 };
 use crate::pairset::PairSet;
 use crate::parallel::Executor;
@@ -270,7 +270,7 @@ pub fn prune_level(l: usize, current: &mut Level, lstats: &mut LevelStats) {
 /// [`enforce_budget`](DiscoverySnapshot::enforce_budget) evicts whole nodes
 /// — least-recently-*reused* first — until the resident bytes fit. Eviction
 /// is always safe: a later pass that misses a node simply recomputes its
-/// partition (one parent product, or one counting sort at level 1), so the
+/// partition (one parent refinement, or one counting sort at level 1), so the
 /// budget trades reuse for memory without ever changing results.
 ///
 /// Recency is tracked per `(level, bits)` key across passes: reusing a node
@@ -395,7 +395,7 @@ impl DiscoverySnapshot {
     /// Deleting tuples never merges or splits surviving equivalence
     /// classes, so `Π*_X(r ∖ D)` is obtained from the retained `Π*_X(r)` by
     /// pure class compaction
-    /// ([`fastod_partition::StrippedPartition::remove_rows`]) — no products,
+    /// ([`fastod_partition::StrippedPartition::remove_rows`]) — no refinements,
     /// no counting sorts. The returned map is keyed by attribute-set bits
     /// (globally unique: the bits determine the level via their popcount);
     /// a node with an **empty** [`fastod_partition::RemoveDelta`] was
@@ -455,7 +455,7 @@ impl DiscoverySnapshot {
     /// Evicts nodes until [`partition_bytes`](DiscoverySnapshot::partition_bytes)
     /// fits the budget, returning how many were dropped. Order: stalest
     /// `last_reuse` stamp first; ties broken deepest level first (deep
-    /// products are one cheap parent product away), then ascending bits —
+    /// nodes are one cheap parent refinement away), then ascending bits —
     /// fully deterministic.
     pub fn enforce_budget(&mut self) -> usize {
         let Some(budget) = self.budget else {
@@ -536,7 +536,7 @@ mod tests {
             )
             .unwrap();
             prune_level(l, current, &mut lstats);
-            let next = calculate_next_level(current, n_attrs, &mut scratch, &cancel).unwrap();
+            let next = calculate_next_level(current, &enc, &mut scratch, &cancel).unwrap();
             if next.is_empty() {
                 break;
             }

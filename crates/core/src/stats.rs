@@ -28,7 +28,7 @@ pub struct LevelStats {
     /// the part sharded across worker threads.
     pub validate_time: Duration,
     /// Wall-clock time spent generating the next level's partitions
-    /// (products), the other parallel phase.
+    /// (refinements), the other parallel phase.
     pub generate_time: Duration,
 }
 
@@ -73,7 +73,7 @@ impl DiscoveryStats {
     }
 
     /// Total wall-clock time spent computing next-level partitions
-    /// (products) across levels.
+    /// (refinements) across levels.
     pub fn generation_time(&self) -> Duration {
         self.levels.iter().map(|l| l.generate_time).sum()
     }

@@ -614,6 +614,7 @@ impl OdValidator for ApproxValidator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastod_partition::ProductScratch;
     use fastod_relation::RelationBuilder;
 
     fn enc() -> EncodedRelation {
@@ -629,10 +630,7 @@ mod tests {
     fn exact_error_rate_and_scan_agree() {
         let e = enc();
         let parent = StrippedPartition::from_codes(e.codes(0), e.cardinality(0));
-        let node = parent.product_simple(&StrippedPartition::from_codes(
-            e.codes(1),
-            e.cardinality(1),
-        ));
+        let node = parent.refine(e.codes(1), e.cardinality(1), &mut ProductScratch::new());
         let mut stats = LevelStats::default();
         let mut v1 = ExactValidator::new(&e, FdCheckMode::ErrorRate);
         let mut v2 = ExactValidator::new(&e, FdCheckMode::Scan);

@@ -4,8 +4,8 @@ use crate::judge::{CachedJudge, CachedVerdict};
 use crate::stats::{BatchCounters, BatchReport, IncrementalStats};
 use fastod::parallel::Executor;
 use fastod::snapshot::{
-    build_level0_masked, compute_candidate_sets_parallel, generate_next_level, prune_level,
-    validate_level, DiscoverySnapshot, Level, Node,
+    build_level0_masked, compute_candidate_sets_parallel, generate_next_level, join_partition,
+    prune_level, validate_level, DiscoverySnapshot, Level, Node,
 };
 use fastod::{CancelToken, DiscoveryConfig, ExactValidator, LevelStats, PassError};
 use fastod_faultkit as faultkit;
@@ -600,7 +600,7 @@ impl IncrementalDiscovery {
     /// When the pass carries deletions it first makes every retained
     /// partition absorb the tombstones in place
     /// ([`DiscoverySnapshot::remove_rows`] — pure class compaction, no
-    /// products), handing the per-node touched-class deltas to the judge:
+    /// refinements), handing the per-node touched-class deltas to the judge:
     /// cached-valid verdicts are binding under deletes, cached-invalid ones
     /// on untouched contexts too, and the rest settle by a witness-pair
     /// liveness probe or delta counting over exactly the touched classes
@@ -730,7 +730,7 @@ impl IncrementalDiscovery {
                     // deletes: every retained node already absorbed the
                     // tombstones in place (nothing is dirty), so retained
                     // nodes are always reusable and only evicted ones are
-                    // recomputed as parent products.
+                    // recomputed from a parent.
                     generate_next_level(&levels[l], n_attrs, &cancel, |x, pi, pj, lvl| {
                         let both_dirty =
                             judge.is_dirty(pi.bits()) && judge.is_dirty(pj.bits());
@@ -742,9 +742,9 @@ impl IncrementalDiscovery {
                                 return node.partition;
                             }
                         }
-                        let p = lvl[&pi.bits()]
-                            .partition
-                            .product(&lvl[&pj.bits()].partition, &mut scratch);
+                        // Parents hold only live rows, so the codes of
+                        // tombstoned rows are never read.
+                        let p = join_partition(lvl, enc, pi, pj, &mut scratch);
                         judge.counters.nodes_recomputed += 1;
                         let dirty = both_dirty && covers_appended_row(&p, old_n);
                         judge.set_dirty(x.bits(), dirty);
@@ -816,7 +816,7 @@ impl IncrementalDiscovery {
 /// Whether any class of `p` contains a row appended at or after `old_n`.
 ///
 /// Every partition the engine builds keeps class rows in ascending row-id
-/// order (`from_codes` counting sort, `product` preserving operand order,
+/// order (`from_codes` counting sort, `refine` preserving the parent's order,
 /// `append_codes` pushing fresh — larger — ids at the tail, `remove_rows`
 /// compacting in place), so checking each class's last element suffices:
 /// O(#classes), not O(covered rows).
@@ -1059,8 +1059,8 @@ mod tests {
         let report = engine.push_batch(&batch).unwrap();
         assert!(report.retired.is_empty(), "{:?}", report.retired);
         // Only the handful of `{}`-context true verdicts get re-checked;
-        // false verdicts and clean-context truths are skipped; every product
-        // node is reused.
+        // false verdicts and clean-context truths are skipped; every node
+        // above level 1 is reused.
         assert!(
             report.counters.revalidated < initial_revalidated / 2,
             "{:?}",

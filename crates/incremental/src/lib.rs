@@ -70,12 +70,12 @@
 //!   tombstone flips in a liveness mask — codes never move and row ids are
 //!   stable forever;
 //! * **partitions** — level-1 partitions absorb appends via
-//!   `StrippedPartition::append_codes_masked`; a product node is recomputed
+//!   `StrippedPartition::append_codes_masked`; a deeper node is recomputed
 //!   only when *both* its generating parents are append-dirty. Deletes are
 //!   cheaper still: `Π*_X(r ∖ D)` is pure class compaction of the retained
 //!   `Π*_X(r)` (`StrippedPartition::remove_rows`), so **every** retained
 //!   node absorbs a delete in place and only budget-evicted nodes are
-//!   recomputed as products;
+//!   recomputed, each refined from a parent;
 //! * **validations** — appends: cached-invalid candidates are skipped
 //!   outright, cached-valid ones on clean contexts too, the rest
 //!   re-validate. Deletes: cached-valid candidates are skipped outright,

@@ -48,7 +48,7 @@ pub struct BatchCounters {
     /// Lattice nodes whose retained partition was reused with a row-count
     /// bump (clean nodes).
     pub nodes_reused: usize,
-    /// Lattice nodes whose partition was recomputed as a parent product
+    /// Lattice nodes whose partition was recomputed from a parent
     /// (dirty or newly generated nodes).
     pub nodes_recomputed: usize,
     /// Level-1 partitions that absorbed the batch via the append path.

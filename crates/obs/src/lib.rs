@@ -12,7 +12,7 @@
 //! server wants per-registry aggregation). A disabled handle (the
 //! [`Obs::disabled`] default) is `None` inside: every instrumentation call
 //! is a single branch on the hot path, no atomics, no allocation — cheap
-//! enough to compile into the partition product loop (pinned by a
+//! enough to compile into the partition refinement loop (pinned by a
 //! `partition_hot` bench row).
 //!
 //! Three primitives:

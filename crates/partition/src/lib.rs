@@ -9,9 +9,11 @@
 //!   stored **flat** in CSR form (one contiguous row buffer + class
 //!   offsets) so every scan is a linear walk over contiguous memory —
 //!   see [`Classes`] for the borrowed view consumers iterate/shard;
-//! * linear-time partition **products** `Π_X = Π_Y · Π_Z` with reusable
-//!   scratch space, so level `l` partitions are derived from level `l−1`
-//!   partitions instead of being rebuilt from scratch;
+//! * linear-time partition **refinement**
+//!   ([`StrippedPartition::refine`]): `Π*_{Y∪{A}}` is `Π*_Y` with each
+//!   class split by `A`'s code column, through reusable scratch space, so
+//!   level `l` partitions are derived from level `l−1` partitions instead
+//!   of being rebuilt from scratch;
 //! * [`SortedColumn`] — the sorted partition `τ_A` (all rows ordered by `A`),
 //!   built once per attribute with counting sort over dense-rank codes;
 //! * validation scans: [`check_constancy`] for `X: [] ↦ A` and

@@ -1,37 +1,32 @@
 //! Reusable scratch buffers for the hot partition operations.
 //!
-//! Products and validation scans run once per lattice node/candidate — many
-//! millions of times in the larger experiments. All of them need O(n)
-//! row-indexed working memory; these types keep that memory allocated across
-//! calls and use epoch stamps so it never has to be zeroed.
+//! Refinements and validation scans run once per lattice node/candidate —
+//! many millions of times in the larger experiments. All of them need
+//! row- or code-indexed working memory; these types keep that memory
+//! allocated across calls, kept clean by invariants or epoch stamps so it
+//! never has to be zeroed wholesale.
 
 use crate::StrippedPartition;
 
-/// Scratch space for [`StrippedPartition::product`].
+/// Scratch space for [`StrippedPartition::refine`].
 ///
-/// Everything the product touches is a flat, row- or class-indexed array
-/// that persists across calls: the probe/stamp maps, the per-LHS-class
-/// `count`/`cursor` arrays (maintained all-zero / overwritten per call), and
-/// the CSR output buffers the product writes its result into before taking
-/// an exact-size copy. Zero per-class allocations, ever.
+/// Everything the refinement touches persists across calls: one
+/// code-indexed count/cursor arena (sized to the largest cardinality seen,
+/// all-zero between calls), the list of codes the current class touched,
+/// and the CSR output buffers the refinement writes its result into before
+/// taking an exact-size copy. Zero per-class allocations, ever.
 #[derive(Default)]
 pub struct ProductScratch {
-    /// `probe[row]` = class index in the LHS partition (valid only when
-    /// `stamp[row]` equals the current epoch).
-    pub(crate) probe: Vec<u32>,
-    pub(crate) stamp: Vec<u32>,
-    pub(crate) epoch: u32,
-    /// Rows of the current RHS class falling in each LHS class; all-zero
-    /// between products (restored via `touched` after every RHS class).
-    pub(crate) count: Vec<u32>,
-    /// Per-LHS-class write position into `out_rows` (`u32::MAX` = the
-    /// product class died as a singleton and its rows are skipped).
-    pub(crate) cursor: Vec<u32>,
-    /// LHS classes hit by the current RHS class, in first-encounter order.
+    /// Per code: the current parent class's row count in pass 1, then that
+    /// code's write position into `out_rows` in pass 2 (`u32::MAX` = the
+    /// code occurs once in the class, a new singleton whose row is
+    /// skipped). All-zero between classes (restored via `touched`).
+    pub(crate) slots: Vec<u32>,
+    /// Codes hit by the current parent class, in first-encounter order.
     pub(crate) touched: Vec<u32>,
-    /// Reusable flat CSR output: concatenated product-class rows.
+    /// Reusable flat CSR output: concatenated output-class rows.
     pub(crate) out_rows: Vec<u32>,
-    /// Reusable flat CSR output: product-class offsets into `out_rows`.
+    /// Reusable flat CSR output: output-class offsets into `out_rows`.
     pub(crate) out_offsets: Vec<u32>,
 }
 
@@ -42,39 +37,31 @@ impl ProductScratch {
     }
 
     /// Resident capacity of every arena buffer, in bytes. Steady-state
-    /// contract: once warmed on a workload, repeated products through the
-    /// same scratch must not grow this (pinned by the `partition_hot`
+    /// contract: once warmed on a workload, repeated refinements through
+    /// the same scratch must not grow this (pinned by the `partition_hot`
     /// criterion bench).
     pub fn arena_bytes(&self) -> usize {
-        (self.probe.capacity()
-            + self.stamp.capacity()
-            + self.count.capacity()
-            + self.cursor.capacity()
+        (self.slots.capacity()
             + self.touched.capacity()
             + self.out_rows.capacity()
             + self.out_offsets.capacity())
             * std::mem::size_of::<u32>()
     }
 
-    /// Prepares the scratch for a product over `n_rows` rows and
-    /// `n_lhs_classes` probe classes; returns the epoch for this call.
-    pub(crate) fn begin(&mut self, n_rows: usize, n_lhs_classes: usize) -> u32 {
-        if self.probe.len() < n_rows {
-            self.probe.resize(n_rows, 0);
-            self.stamp.resize(n_rows, 0);
+    /// Prepares the scratch for a refinement by a column of `cardinality`
+    /// distinct codes.
+    pub(crate) fn begin(&mut self, cardinality: u32) {
+        let card = cardinality as usize;
+        if self.slots.len() < card {
+            self.slots.resize(card, 0);
         }
-        if self.count.len() < n_lhs_classes {
-            self.count.resize(n_lhs_classes, 0);
-            self.cursor.resize(n_lhs_classes, 0);
-        }
-        debug_assert!(self.count.iter().all(|&c| c == 0), "count invariant broken");
-        // On wrap-around the stale stamps could collide; reset then.
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.epoch
+        debug_assert!(self.slots_are_clear(), "count/cursor arena not cleared");
+    }
+
+    /// Whether the count/cursor arena is all zero — the invariant every
+    /// refinement restores before returning.
+    pub(crate) fn slots_are_clear(&self) -> bool {
+        self.slots.iter().all(|&c| c == 0)
     }
 }
 
@@ -248,14 +235,14 @@ mod tests {
     }
 
     #[test]
-    fn product_scratch_epoch_wraparound() {
-        let x = StrippedPartition::from_classes(3, vec![vec![0, 1, 2]]);
-        let y = StrippedPartition::from_classes(3, vec![vec![0, 1]]);
+    fn product_scratch_reuse_across_cardinalities() {
+        let x = StrippedPartition::from_classes(4, vec![vec![0, 1, 2, 3]]);
         let mut s = ProductScratch::new();
-        s.epoch = u32::MAX - 1;
-        let p1 = x.product(&y, &mut s);
-        let p2 = x.product(&y, &mut s); // crosses the wrap
-        assert_eq!(p1, p2);
-        assert_eq!(p1.normalized(), vec![vec![0, 1]]);
+        let wide = x.refine(&[7, 7, 3, 3], 8, &mut s);
+        assert!(s.slots_are_clear());
+        let narrow = x.refine(&[1, 0, 1, 0], 2, &mut s);
+        assert!(s.slots_are_clear());
+        assert_eq!(wide.normalized(), vec![vec![0, 1], vec![2, 3]]);
+        assert_eq!(narrow.normalized(), vec![vec![0, 2], vec![1, 3]]);
     }
 }

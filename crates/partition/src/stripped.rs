@@ -1,4 +1,4 @@
-//! Stripped partitions `Π*_X` and their products, in a flat CSR layout.
+//! Stripped partitions `Π*_X` and their refinement, in a flat CSR layout.
 
 use crate::scratch::ProductScratch;
 
@@ -175,7 +175,7 @@ impl<'a> Iterator for ClassesIter<'a> {
 /// Classes live in one flat **CSR** pair: a contiguous `rows` buffer holding
 /// every covered row id, class by class, and a `class_offsets` index with
 /// `n_classes + 1` entries delimiting the classes. Every hot operation —
-/// products, swap/constancy sweeps, the error-rate shortcut — is a linear
+/// refinement, swap/constancy sweeps, the error-rate shortcut — is a linear
 /// scan over these two arrays; nothing on the validation path chases a
 /// per-class heap pointer. `covered_rows`/`error` are O(1) reads of
 /// `rows.len()`.
@@ -321,24 +321,6 @@ impl StrippedPartition {
         StrippedPartition::from_csr(n_rows, rows, class_offsets)
     }
 
-    /// Builds a partition from pre-assembled flat CSR buffers — the
-    /// constructor for external builders that produce the layout directly,
-    /// such as the sharded level-1 build in `fastod-core`.
-    ///
-    /// `class_offsets` must start at 0, be non-decreasing, and end at
-    /// `rows.len()`; every class must hold ≥ 2 distinct row ids `< n_rows`
-    /// (debug-asserted). Callers are responsible for class/row ordering —
-    /// to be byte-identical with [`StrippedPartition::from_codes`], classes
-    /// must come in ascending code order with rows ascending inside each
-    /// class.
-    pub fn from_raw_csr(n_rows: usize, rows: Vec<u32>, class_offsets: Vec<u32>) -> StrippedPartition {
-        debug_assert!(class_offsets.windows(2).all(|w| {
-            let class = &rows[w[0] as usize..w[1] as usize];
-            class.len() >= 2 && class.iter().all(|&r| (r as usize) < n_rows)
-        }));
-        StrippedPartition::from_csr(n_rows, rows, class_offsets)
-    }
-
     /// The raw CSR buffers (`rows`, `class_offsets`) — the byte-exact
     /// representation determinism tests compare across thread counts.
     pub fn raw_csr(&self) -> (&[u32], &[u32]) {
@@ -365,7 +347,7 @@ impl StrippedPartition {
     /// is exact for *any* partition, not just level-1 ones:
     /// `Π*_X(r ∖ D) = strip(Π*_X(r) ∖ D)` — deleting tuples never merges or
     /// splits surviving classes — so the incremental engine absorbs a delete
-    /// into every retained node without recomputing a single product.
+    /// into every retained node without recomputing a single partition.
     ///
     /// `deleted` must be sorted ascending (row-id membership is resolved by
     /// binary search; debug-asserted). The physical row count
@@ -726,45 +708,48 @@ impl StrippedPartition {
             + self.class_offsets.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Computes the product `Π*_X = Π*_Y · Π*_Z` in O(n) using scratch space
-    /// (paper §4.6: "partitions are computed in linear time as products of
-    /// partitions").
+    /// Refines `Π*_Y` by one more attribute: returns `Π*_{Y∪{A}}`, where
+    /// `codes`/`cardinality` are `A`'s dense-rank column (paper §4.6: every
+    /// lattice partition is derived from a parent in linear time).
     ///
-    /// A row lands in a product class iff it is in a non-singleton class of
-    /// *both* operands and shares both class memberships with another row.
-    /// The probe pass writes the surviving rows directly into the scratch
-    /// arena's flat CSR output buffers — no per-class allocation ever — and
-    /// the result is an exact-size copy of those buffers. The arena is
-    /// caller-owned so hot paths (the lattice driver keeps one per worker
-    /// thread) reuse all working memory across millions of products.
+    /// Each class of `self` is split by `codes`: pass 1 counts the class's
+    /// rows per code, one segment is reserved per code with ≥ 2 rows (codes
+    /// seen once are new singletons and are dropped), and pass 2 scatters
+    /// the rows into their segments. Cost: O(||Π*_Y||) sequential reads of
+    /// the class rows plus as many random reads of `codes` — rows outside
+    /// `Π*_Y` (singletons, and tombstoned rows of a masked partition) are
+    /// never read. Output classes come in parent-class order, then in the
+    /// order their code first occurs in the class; rows stay ascending
+    /// inside every class because the scatter preserves the parent's order.
+    ///
+    /// The count/cursor arena in `scratch` is code-indexed and kept
+    /// all-zero between calls (re-zeroed through the codes each class
+    /// touched), so one scratch serves every cardinality without clearing.
+    /// A class whose rows all share one code is copied through unsplit.
     ///
     /// ```
     /// use fastod_partition::{ProductScratch, StrippedPartition};
     ///
-    /// // Π*_A = {{0,1,2,3}}, Π*_B = {{0,1},{2,3,4}} over 5 rows.
+    /// // Π*_A = {{0,1,2,3}} over 5 rows; B = [0, 0, 1, 1, 1].
     /// let pa = StrippedPartition::from_codes(&[0, 0, 0, 0, 1], 2);
-    /// let pb = StrippedPartition::from_codes(&[0, 0, 1, 1, 1], 2);
     /// let mut scratch = ProductScratch::new();
-    /// let pab = pa.product(&pb, &mut scratch);
+    /// let pab = pa.refine(&[0, 0, 1, 1, 1], 2, &mut scratch);
     /// // Rows agreeing on BOTH A and B: {0,1} and {2,3} (4 is singleton in A).
     /// assert_eq!(pab.normalized(), vec![vec![0, 1], vec![2, 3]]);
     /// ```
-    pub fn product(
+    pub fn refine(
         &self,
-        other: &StrippedPartition,
+        codes: &[u32],
+        cardinality: u32,
         scratch: &mut ProductScratch,
     ) -> StrippedPartition {
-        debug_assert_eq!(self.n_rows, other.n_rows);
-        let epoch = scratch.begin(self.n_rows, self.n_classes());
-        let (probe, stamp) = (&mut scratch.probe, &mut scratch.stamp);
-        for (ci, class) in self.classes().iter().enumerate() {
-            for &row in class {
-                probe[row as usize] = ci as u32;
-                stamp[row as usize] = epoch;
-            }
-        }
-        let count = &mut scratch.count;
-        let cursor = &mut scratch.cursor;
+        debug_assert_eq!(
+            codes.len(),
+            self.n_rows,
+            "code column must span the partition's rows"
+        );
+        scratch.begin(cardinality);
+        let slot = &mut scratch.slots;
         let touched = &mut scratch.touched;
         let out_rows = &mut scratch.out_rows;
         let out_offsets = &mut scratch.out_offsets;
@@ -772,56 +757,53 @@ impl StrippedPartition {
         out_offsets.clear();
         out_offsets.push(0);
         let mut end = 0u32;
-        for rhs_class in other.classes().iter() {
-            // Pass 1: count the rhs class's rows per surviving LHS class.
+        for class in self.classes() {
+            // Pass 1: count the class's rows per code.
             touched.clear();
-            for &row in rhs_class {
-                if stamp[row as usize] == epoch {
-                    let ci = probe[row as usize] as usize;
-                    if count[ci] == 0 {
-                        touched.push(ci as u32);
-                    }
-                    count[ci] += 1;
+            for &row in class {
+                let c = codes[row as usize] as usize;
+                if slot[c] == 0 {
+                    touched.push(c as u32);
                 }
+                slot[c] += 1;
             }
-            // Reserve one contiguous segment per product class of size ≥ 2,
-            // in first-encounter order (matching historical class order).
-            for &ci in touched.iter() {
-                let c = count[ci as usize];
-                if c >= 2 {
-                    cursor[ci as usize] = end;
-                    end += c;
+            if let [c] = touched[..] {
+                // One code across the whole class: it survives unsplit.
+                slot[c as usize] = 0;
+                out_rows.extend_from_slice(class);
+                end += class.len() as u32;
+                out_offsets.push(end);
+                continue;
+            }
+            // Turn each count into its segment's write cursor: one segment
+            // per code with ≥ 2 rows, in first-encounter order.
+            for &c in touched.iter() {
+                let n = slot[c as usize];
+                if n >= 2 {
+                    slot[c as usize] = end;
+                    end += n;
                     out_offsets.push(end);
                 } else {
-                    cursor[ci as usize] = u32::MAX;
+                    slot[c as usize] = u32::MAX;
                 }
             }
             out_rows.resize(end as usize, 0);
             // Pass 2: scatter the rows into their segments, preserving the
-            // rhs class's (ascending) row order.
-            for &row in rhs_class {
-                if stamp[row as usize] == epoch {
-                    let ci = probe[row as usize] as usize;
-                    let cur = cursor[ci];
-                    if cur != u32::MAX {
-                        out_rows[cur as usize] = row;
-                        cursor[ci] = cur + 1;
-                    }
+            // class's (ascending) row order.
+            for &row in class {
+                let c = codes[row as usize] as usize;
+                let cur = slot[c];
+                if cur != u32::MAX {
+                    out_rows[cur as usize] = row;
+                    slot[c] = cur + 1;
                 }
             }
-            // Restore the all-zero `count` invariant for the next rhs class.
-            for &ci in touched.iter() {
-                count[ci as usize] = 0;
+            // Restore the all-zero invariant for the next class.
+            for &c in touched.iter() {
+                slot[c as usize] = 0;
             }
         }
         StrippedPartition::from_csr(self.n_rows, out_rows.clone(), out_offsets.clone())
-    }
-
-    /// Product with a freshly allocated scratch (convenience for tests and
-    /// one-off callers; hot paths should reuse a [`ProductScratch`]).
-    pub fn product_simple(&self, other: &StrippedPartition) -> StrippedPartition {
-        let mut scratch = ProductScratch::new();
-        self.product(other, &mut scratch)
     }
 
     /// A canonical form for structural comparison: classes sorted internally
@@ -907,62 +889,68 @@ mod tests {
         assert_eq!(p.error(), 0);
     }
 
+    /// `p` refined by `codes` through a fresh scratch.
+    fn refine(p: &StrippedPartition, codes: &[u32]) -> StrippedPartition {
+        let card = codes.iter().max().map_or(0, |&m| m + 1);
+        p.refine(codes, card, &mut ProductScratch::new())
+    }
+
     #[test]
-    fn product_matches_manual() {
+    fn refine_matches_manual() {
         // X groups {0,1,2,3} | {4,5};  Y groups {0,1} | {2,3,4,5}
         let x = part(6, &[&[0, 1, 2, 3], &[4, 5]]);
-        let y = part(6, &[&[0, 1], &[2, 3, 4, 5]]);
-        let xy = x.product_simple(&y);
+        let xy = refine(&x, &[0, 0, 1, 1, 1, 1]);
         assert_eq!(xy.normalized(), vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
     }
 
     #[test]
-    fn product_drops_new_singletons() {
+    fn refine_drops_new_singletons() {
         let x = part(4, &[&[0, 1, 2]]);
-        let y = part(4, &[&[1, 2], &[0, 3]]);
-        // Row 0 is alone in its product class; row 3 is singleton in x.
-        let xy = x.product_simple(&y);
+        // Row 0 is alone under its code inside {0,1,2}; row 3 is a
+        // singleton of x and never read.
+        let xy = refine(&x, &[1, 0, 0, 1]);
         assert_eq!(xy.normalized(), vec![vec![1, 2]]);
     }
 
     #[test]
-    fn product_with_unit_is_identity() {
+    fn refine_by_constant_is_identity() {
         let x = part(5, &[&[0, 2, 4]]);
-        let u = StrippedPartition::unit(5);
-        assert_eq!(x.product_simple(&u), x);
-        assert_eq!(u.product_simple(&x), x);
+        assert_eq!(refine(&x, &[0; 5]).raw_csr(), x.raw_csr());
+        let codes = [1, 0, 1, 2, 1];
+        assert_eq!(
+            refine(&StrippedPartition::unit(5), &codes),
+            StrippedPartition::from_codes(&codes, 3)
+        );
     }
 
     #[test]
-    fn product_is_commutative() {
-        let x = part(6, &[&[0, 1, 2], &[3, 4]]);
-        let y = part(6, &[&[1, 2, 3], &[4, 5]]);
-        assert_eq!(x.product_simple(&y), y.product_simple(&x));
-    }
-
-    #[test]
-    fn product_against_codes_equivalent() {
-        // Π_A · Π_B must equal the partition of the combined key (A,B).
+    fn refine_against_codes_equivalent() {
+        // Π_A refined by B must equal the partition of the combined key (A,B).
         let codes_a = vec![0, 0, 1, 1, 0, 1, 0];
         let codes_b = vec![0, 1, 0, 0, 0, 0, 1];
         let pa = StrippedPartition::from_codes(&codes_a, 2);
-        let pb = StrippedPartition::from_codes(&codes_b, 2);
         let combined: Vec<u32> = codes_a
             .iter()
             .zip(&codes_b)
             .map(|(&a, &b)| a * 2 + b)
             .collect();
         let pab = StrippedPartition::from_codes(&combined, 4);
-        assert_eq!(pa.product_simple(&pb), pab);
+        assert_eq!(refine(&pa, &codes_b), pab);
+        // Either parent of {A,B} gives the same partition.
+        let pb = StrippedPartition::from_codes(&codes_b, 2);
+        assert_eq!(refine(&pb, &codes_a), pab);
     }
 
     #[test]
-    fn product_classes_stay_row_sorted() {
-        // The incremental engine's O(#classes) dirtiness probe requires every
-        // class of every product to keep ascending row ids.
+    fn refine_emits_parent_then_first_encounter_order() {
         let x = part(8, &[&[0, 2, 4, 6], &[1, 3, 5, 7]]);
-        let y = part(8, &[&[0, 1, 2, 3, 4, 5, 6, 7]]);
-        let xy = x.product_simple(&y);
+        let xy = refine(&x, &[1, 0, 0, 1, 1, 0, 0, 1]);
+        assert_eq!(
+            xy.raw_csr(),
+            (&[0u32, 4, 2, 6, 1, 5, 3, 7][..], &[0u32, 2, 4, 6, 8][..])
+        );
+        // The incremental engine's O(#classes) dirtiness probe requires every
+        // class of every refinement to keep ascending row ids.
         for class in xy.classes() {
             assert!(class.is_sorted(), "{class:?}");
         }
@@ -972,10 +960,10 @@ mod tests {
     fn error_detects_fd() {
         // A = [0,0,1,1], B = [5,5,7,8]: A→B fails (split on class {2,3}).
         let pa = StrippedPartition::from_codes(&[0, 0, 1, 1], 2);
-        let pab = pa.product_simple(&StrippedPartition::from_codes(&[0, 0, 1, 2], 3));
+        let pab = refine(&pa, &[0, 0, 1, 2]);
         assert_ne!(pa.error(), pab.error());
         // A = [0,0,1,1], C = [3,3,9,9]: A→C holds.
-        let pac = pa.product_simple(&StrippedPartition::from_codes(&[0, 0, 1, 1], 2));
+        let pac = refine(&pa, &[0, 0, 1, 1]);
         assert_eq!(pa.error(), pac.error());
     }
 
@@ -1060,9 +1048,8 @@ mod tests {
         p.extend_rows(7);
         assert_eq!(p.n_rows(), 7);
         assert_eq!(p.n_classes(), 2);
-        // Appended singletons do not change the product behaviour.
-        let u = StrippedPartition::unit(7);
-        assert_eq!(p.product_simple(&u), p);
+        // Appended singletons are never read by a refinement.
+        assert_eq!(refine(&p, &[0; 7]), p);
     }
 
     /// Removing rows incrementally must agree with rebuilding the partition
@@ -1189,25 +1176,14 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_across_products() {
+    fn scratch_reuse_across_refinements() {
         let mut scratch = ProductScratch::new();
         let x = part(6, &[&[0, 1, 2], &[3, 4, 5]]);
-        let y = part(6, &[&[0, 1], &[2, 3], &[4, 5]]);
-        let p1 = x.product(&y, &mut scratch);
-        let p2 = x.product(&y, &mut scratch);
-        assert_eq!(p1, p2);
+        let codes = [0, 0, 1, 1, 2, 2];
+        let p1 = x.refine(&codes, 3, &mut scratch);
+        let p2 = x.refine(&codes, 3, &mut scratch);
+        assert_eq!(p1.raw_csr(), p2.raw_csr());
         assert_eq!(p1.normalized(), vec![vec![0, 1], vec![4, 5]]);
-    }
-
-    #[test]
-    fn from_raw_csr_matches_from_codes() {
-        let codes = vec![2u32, 0, 2, 1, 0, 2];
-        let by_codes = StrippedPartition::from_codes(&codes, 3);
-        let (rows, offsets) = by_codes.raw_csr();
-        let rebuilt =
-            StrippedPartition::from_raw_csr(codes.len(), rows.to_vec(), offsets.to_vec());
-        assert_eq!(rebuilt, by_codes);
-        assert_eq!(rebuilt.raw_csr(), by_codes.raw_csr());
     }
 
     #[test]

@@ -546,8 +546,8 @@ fn write_field<W: Write>(w: &mut W, text: &str) -> std::io::Result<()> {
 }
 
 /// Writes a relation as CSV (header included). Nulls become empty fields;
-/// strings are quoted where needed, so every relation the reader can
-/// produce round-trips.
+/// strings are quoted where needed, and floats are written in `{:?}` form
+/// (`1.0`, not `1`) so an integral float column reads back as `Float`.
 pub fn write_csv<W: Write>(rel: &Relation, writer: W) -> Result<(), RelationError> {
     let mut w = BufWriter::new(writer);
     for (a, name) in rel.schema().names().iter().enumerate() {
@@ -565,6 +565,7 @@ pub fn write_csv<W: Write>(rel: &Relation, writer: W) -> Result<(), RelationErro
             match rel.value(row, a) {
                 Value::Null => {}
                 Value::Str(s) => write_field(&mut w, &s)?,
+                Value::Float(x) => write!(w, "{x:?}")?,
                 v => write!(w, "{v}")?,
             }
         }
@@ -584,6 +585,32 @@ pub fn write_csv_file<P: AsRef<Path>>(rel: &Relation, path: P) -> Result<(), Rel
 mod tests {
     use super::*;
     use crate::RelationBuilder;
+
+    #[test]
+    fn integral_floats_round_trip_as_floats() {
+        let rel = RelationBuilder::new()
+            .column_f64("f", vec![1.0, 2.0, -0.0])
+            .build()
+            .unwrap();
+        let mut buf = Vec::new();
+        write_csv(&rel, &mut buf).unwrap();
+        assert_eq!(
+            String::from_utf8(buf.clone()).unwrap(),
+            "f\n1.0\n2.0\n-0.0\n"
+        );
+        let back = read_csv(&buf[..], true).unwrap();
+        assert_eq!(back.schema().data_type(0), crate::DataType::Float);
+        let bits: Vec<u64> = (0..3)
+            .map(|row| match back.value(row, 0) {
+                Value::Float(x) => x.to_bits(),
+                other => panic!("row {row} read back as {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            bits,
+            [1.0f64.to_bits(), 2.0f64.to_bits(), (-0.0f64).to_bits()]
+        );
+    }
 
     #[test]
     fn roundtrip_with_header() {

@@ -1,31 +1,31 @@
 //! Validation of canonical ODs against relation instances.
 //!
 //! Two independent implementations:
-//! * the **partition path** (what discovery uses): build `Π*_X` by products
-//!   and run the §4.6 scans;
+//! * the **partition path** (what discovery uses): build `Π*_X` by
+//!   refinement and run the §4.6 scans;
 //! * the **naive path** straight from Definition 6's pair semantics, used as
 //!   a test oracle and for brute-forcing complete ground truth on tiny
 //!   schemas.
 
 use crate::CanonicalOd;
 use fastod_partition::{
-    check_constancy, check_order_compat, SortedColumn, StrippedPartition, SwapScratch,
+    check_constancy, check_order_compat, ProductScratch, SortedColumn, StrippedPartition,
+    SwapScratch,
 };
 use fastod_relation::{AttrId, AttrSet, EncodedRelation};
 
-/// Builds `Π*_X` from scratch by folding partition products over the
-/// context's attributes. O(|X| · n).
+/// Builds `Π*_X` from scratch by refining the first attribute's partition
+/// by each further attribute of the context. O(|X| · n).
 pub fn build_partition(enc: &EncodedRelation, ctx: AttrSet) -> StrippedPartition {
     let mut iter = ctx.iter();
     let Some(first) = iter.next() else {
         return StrippedPartition::unit(enc.n_rows());
     };
-    let mut part = StrippedPartition::from_codes(enc.codes(first), enc.cardinality(first));
-    for a in iter {
-        let pa = StrippedPartition::from_codes(enc.codes(a), enc.cardinality(a));
-        part = part.product_simple(&pa);
-    }
-    part
+    let mut scratch = ProductScratch::new();
+    iter.fold(
+        StrippedPartition::from_codes(enc.codes(first), enc.cardinality(first)),
+        |part, a| part.refine(enc.codes(a), enc.cardinality(a), &mut scratch),
+    )
 }
 
 /// Validates a canonical OD on an instance via partitions.
@@ -136,7 +136,7 @@ mod tests {
     const SAL: usize = 4;
 
     #[test]
-    fn build_partition_matches_products() {
+    fn build_partition_matches_refinement() {
         let e = employee();
         let p = build_partition(&e, AttrSet::from_iter([YR, POSIT]));
         // year × posit on Table 1: all classes singleton → superkey.

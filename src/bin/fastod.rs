@@ -13,7 +13,7 @@
 //!                          empty CSV fields as nulls
 //!   --max-level <N>        cap the lattice level (context size + 1)
 //!   --timeout <SECS>       cancel discovery after this budget
-//!   --threads <N>          worker threads for validation/products
+//!   --threads <N>          worker threads for validation/partitions
 //!                          (default 1; 0 = all cores; the discovered
 //!                          cover is identical at any thread count)
 //!   --epsilon <F>          approximate discovery: tolerate removing an

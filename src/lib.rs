@@ -8,7 +8,7 @@
 //! a single package:
 //!
 //! * [`relation`] — schemas, typed columns, order-preserving encoding, CSV;
-//! * [`partition`] — stripped partitions, products, sorted partitions τ;
+//! * [`partition`] — stripped partitions, refinement, sorted partitions τ;
 //! * [`theory`] — list/canonical ODs, axioms, mapping, violations;
 //! * [`discovery`] — the FASTOD algorithm (plus no-pruning and approximate
 //!   variants);
@@ -26,7 +26,7 @@
 //! `README.md` has a CSV-to-cover quickstart and the experiment-harness
 //! knobs. Discovery is data-parallel: set
 //! [`DiscoveryConfig::threads`](discovery::DiscoveryConfig) to shard
-//! validation scans and partition products across worker threads — the
+//! validation scans and partition refinements across worker threads — the
 //! discovered cover is identical at every thread count.
 //!
 //! ## Quickstart

@@ -14,7 +14,8 @@
 //! against the oracle's definitional pair scan.
 
 use fastod_suite::partition::{
-    count_constancy_violations, count_swap_violations, CountScratch, StrippedPartition,
+    count_constancy_violations, count_swap_violations, CountScratch, ProductScratch,
+    StrippedPartition,
 };
 use fastod_suite::prelude::*;
 use fastod_testkit::{oracle_minimal_cover, oracle_violation_count};
@@ -148,16 +149,14 @@ proptest! {
     ) {
         let rel = fastod_suite::datagen::random_relation(n_rows, n_attrs, max_card, seed);
         let enc = rel.encode();
-        let singles: Vec<StrippedPartition> = (0..n_attrs)
-            .map(|a| StrippedPartition::from_codes(enc.codes(a), enc.cardinality(a)))
-            .collect();
         let mut scratch = CountScratch::new();
+        let mut refine_scratch = ProductScratch::new();
         for ctx_mask in 0u64..(1 << n_attrs) {
             let ctx_set = AttrSet::from_bits(ctx_mask);
             let ctx = ctx_set
                 .iter()
                 .fold(StrippedPartition::unit(n_rows), |acc, a| {
-                    acc.product_simple(&singles[a])
+                    acc.refine(enc.codes(a), enc.cardinality(a), &mut refine_scratch)
                 });
             for a in 0..n_attrs {
                 if !ctx_set.contains(a) {

@@ -3,7 +3,8 @@
 //!
 //! One relation goes through `Fastod::discover` with a JSONL trace sink
 //! attached. The trace must reconstruct the phase structure of the
-//! algorithm — one `discover` root, one `level` span per processed lattice
+//! algorithm — one `discover` root (with the run's rows and threads), one
+//! `level1` span for the level-1 build, one `level` span per processed lattice
 //! level, and `compute_candidates`/`validate_level`/`generate_level`
 //! children under each — and the span durations must agree with the
 //! `Instant`-based timings the stats module reports independently. The two
@@ -48,6 +49,14 @@ fn trace_matches_discovery_stats() {
     let root = roots[0];
     assert_eq!(root.name, "discover");
     assert_eq!(root.field("n_attrs"), Some(enc.n_attrs() as u64));
+    assert_eq!(root.field("rows"), Some(enc.n_rows() as u64));
+    assert_eq!(root.field("threads"), Some(DiscoveryConfig::default().threads as u64));
+    // The level-1 build has its own span under the root.
+    let level1: Vec<&TraceEvent> = events.iter().filter(|e| e.name == "level1").collect();
+    assert_eq!(level1.len(), 1, "one level1 span, got {level1:?}");
+    assert_eq!(level1[0].parent, Some(root.id));
+    assert_eq!(level1[0].field("rows"), Some(enc.n_rows() as u64));
+    assert_eq!(level1[0].field("attrs"), Some(enc.n_attrs() as u64));
     assert!(
         close(
             Duration::from_nanos(root.dur_ns),
