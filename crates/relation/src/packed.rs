@@ -10,9 +10,9 @@
 //! code spans at most two words). Consumers that need a contiguous `&[u32]`
 //! view — the whole validation hot path — go through
 //! [`PackedCodes::as_slice`], which materializes an unpacked copy **lazily,
-//! once**, behind a [`OnceLock`]; scale-path consumers (the sharded level-1
-//! builder, the scale bench) use [`PackedCodes::decode_range`] into a
-//! caller scratch buffer instead and never pay for the copy.
+//! once**, behind a [`OnceLock`]; chunked consumers (the scale bench's
+//! encoding check) use [`PackedCodes::decode_range`] into a caller scratch
+//! buffer instead and never pay for the copy.
 
 use std::sync::OnceLock;
 
